@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -22,9 +21,11 @@ from fractions import Fraction
 from . import __version__
 from .closed_forms import exact_L
 from .constants import catalan, digamma, eval_zeta_expr, zeta_int
-from .core import PiExpr, Polynomial, format_zeta_expr, shifted_legendre
+from .core import PiExpr, Polynomial, format_zeta_expr
 from .projection import approx_L, expand
 from .quadrature import (
+    CATALOG_HELP,
+    HALF_PI,
     FunctionSpec,
     integrate_logtan,
     integrate_plain,
@@ -164,48 +165,11 @@ def parse_rational_list(spec: str) -> list[Fraction]:
     return out
 
 
-_MONOMIAL_RE = re.compile(r"^x(\d+)?$")
-_LEGENDRE_RE = re.compile(r"^legendre(\d+)$")
-_EULER_RE = re.compile(r"^euler(\d+)$")
-_PARAM_RE = re.compile(r"^(exp|cos|sinh)[:=](.+)$")
-
-CATALOG_HELP = (
-    "x, x2, x3, ... (monomials); sqrt; legendreN; eulerN (scaled Euler "
-    "polynomial); logtan; logtan2; logsine; exp:Z, cos:Z, sinh:Z for a real "
-    "parameter Z"
-)
-
-
 def parse_function(name: str) -> FunctionSpec:
-    token = name.strip().lower()
-    if m := _MONOMIAL_RE.match(token):
-        return FunctionSpec.monomial(int(m.group(1)) if m.group(1) else 1)
-    if token == "sqrt":
-        return FunctionSpec.sqrt()
-    if token == "logtan":
-        return FunctionSpec.logtan_power(1)
-    if token == "logtan2":
-        return FunctionSpec.logtan_power(2)
-    if token == "logsine":
-        return FunctionSpec.logsine_x()
-    if m := _LEGENDRE_RE.match(token):
-        return FunctionSpec.polynomial(shifted_legendre(int(m.group(1))))
-    if m := _EULER_RE.match(token):
-        from .core import euler_poly_scaled
-
-        return FunctionSpec.polynomial(euler_poly_scaled(int(m.group(1))))
-    if m := _PARAM_RE.match(token):
-        try:
-            z = float(m.group(2))
-        except ValueError:
-            raise UsageError(f"bad parameter in {name!r}") from None
-        kind = m.group(1)
-        if kind == "exp":
-            return FunctionSpec.exp2z(z)
-        if kind == "cos":
-            return FunctionSpec.cos2z(z)
-        return FunctionSpec.sinh_shift(z)
-    raise UsageError(f"unknown function {name!r}; catalog: {CATALOG_HELP}")
+    try:
+        return FunctionSpec.parse(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_exact(args) -> tuple[Report, int]:
@@ -331,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quad", parents=[common], help="direct quadrature")
     p.add_argument("function", help=f"integrand name; one of: {CATALOG_HELP}")
     p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=math.pi / 2)
+    p.add_argument("--b", type=float, default=HALF_PI)
     p.add_argument("--plain", action="store_true",
                    help="integrate f alone instead of f * log(tan x)")
     p.set_defaults(handler=cmd_quad)

@@ -182,7 +182,7 @@ class Polynomial:
     scaled families like the shifted Legendre basis live in one type.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_folded")
 
     def __init__(self, coeffs: Iterable):
         cs = [c if isinstance(c, PiExpr) else PiExpr({0: c}) for c in coeffs]
@@ -191,6 +191,7 @@ class Polynomial:
         while len(cs) > 1 and not cs[-1]:
             cs.pop()
         self._coeffs = tuple(cs)
+        self._folded = None
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -290,10 +291,15 @@ class Polynomial:
         return acc
 
     def evaluate_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c.evaluate()
-        return acc
+        """Value at a float by exact-rational Horner, rounded once; the
+        coefficients are folded with ``PI_FRACTION`` on first use and kept."""
+        if self._folded is None:
+            self._folded = tuple(c.to_fraction() for c in reversed(self._coeffs))
+        acc = Fraction(0)
+        xf = Fraction(x)
+        for c in self._folded:
+            acc = acc * xf + c
+        return float(acc)
 
     def compose_affine(self, a, b) -> "Polynomial":
         """The polynomial ``P(a*x + b)`` for exact scalars ``a``, ``b``."""

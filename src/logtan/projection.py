@@ -18,9 +18,7 @@ from math import comb, factorial
 from .closed_forms import byerly_coeff, legendre_L_coeff
 from .constants import eval_zeta_expr, zeta_int
 from .core import ZetaExpr, shifted_legendre
-from .quadrature import FunctionSpec, inner_product
-
-HALF_PI = math.pi / 2
+from .quadrature import HALF_PI, FunctionSpec, inner_product
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +148,7 @@ def parseval_defect(N: int) -> float:
     partial = math.fsum(
         (4 * n - 1) * _legendre_L_value(2 * n - 1) ** 2 for n in range(1, N + 1)
     )
-    return (math.pi / 2) ** 4 - partial
+    return HALF_PI**4 - partial
 
 
 def catalan_series(N: int) -> float:
@@ -242,5 +240,5 @@ def sqrt_approx_L_exact(N: int) -> tuple[dict[int, Fraction], float]:
         (m - 1) // 2: total.coefficient(m).coefficient(1 - (m - 1))
         for m in total.arguments()
     }
-    value = eval_zeta_expr(total).value * math.sqrt(math.pi / 2)
+    value = eval_zeta_expr(total).value * math.sqrt(HALF_PI)
     return coefficients, value

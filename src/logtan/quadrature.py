@@ -6,16 +6,20 @@ each side of a split at ``pi/4``, which absorbs the logarithmic endpoint
 singularities of ``log tan`` without any special-casing.  Nodes never touch
 the interval endpoints; points near ``pi/2`` are represented through their
 distance to the endpoint so the weight stays accurate there.
+
+Integrands form one catalog, the ``CATALOG`` table, so adding an integrand
+means adding one entry.  ``HALF_PI`` is the package's one float ``pi/2``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .core import PI_FRACTION, Polynomial
+from .core import Polynomial, euler_poly_scaled, shifted_legendre
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -42,29 +46,33 @@ class QuadratureResult:
 class FunctionSpec:
     """A named integrand from the fixed catalog, evaluable on ``(0, pi/2)``.
 
-    Kinds: ``polynomial``, ``monomial``, ``sqrt``, ``exp2z``, ``cos2z``,
-    ``sinh_shift``, ``logtan_power``, ``logsine_x``.  Construct through the
-    classmethods.  ``value(x, dist_top)`` evaluates at ``x``; ``dist_top`` is
-    the distance to ``pi/2``, used to keep ``log tan`` accurate near that
-    endpoint.
+    Kinds are the keys of ``CATALOG``.  Construct through the classmethods,
+    or from a CLI token with :meth:`parse`.  ``value(x, dist_top)`` evaluates
+    at ``x``; ``dist_top`` is the distance to ``pi/2``, used to keep
+    ``log tan`` accurate near that endpoint.
     """
 
-    __slots__ = ("kind", "param", "_coeffs_desc")
+    __slots__ = ("kind", "param", "_entry")
 
-    def __init__(self, kind: str, param=None, coeffs=None):
+    def __init__(self, kind: str, param=None):
         self.kind = kind
         self.param = param
-        self._coeffs_desc = coeffs
+        self._entry = CATALOG[kind]
+
+    @classmethod
+    def parse(cls, text: str) -> "FunctionSpec":
+        """The integrand a token from ``CATALOG_HELP`` names; ``ValueError`` if none."""
+        token = text.strip().lower()
+        for entry in CATALOG.values():
+            if m := re.fullmatch(entry.token, token):
+                return entry.parse(m)
+        raise ValueError(f"unknown function {text!r}; catalog: {CATALOG_HELP}")
 
     @classmethod
     def polynomial(cls, poly: Polynomial) -> "FunctionSpec":
         if not isinstance(poly, Polynomial):
             raise TypeError("polynomial spec needs a Polynomial")
-        # Coefficients folded to exact rationals (pi replaced by a 60-digit
-        # rational) so Horner evaluation is cancellation-free; stored
-        # highest degree first.
-        coeffs = tuple(c.to_fraction(PI_FRACTION) for c in reversed(poly.coeffs))
-        return cls("polynomial", poly, coeffs)
+        return cls("polynomial", poly)
 
     @classmethod
     def monomial(cls, n: int) -> "FunctionSpec":
@@ -99,49 +107,16 @@ class FunctionSpec:
         return cls("logsine_x")
 
     def value(self, x: float, dist_top: float | None = None) -> float:
-        kind = self.kind
-        if kind == "polynomial":
-            acc = Fraction(0)
-            xf = Fraction(x)
-            for c in self._coeffs_desc:
-                acc = acc * xf + c
-            return float(acc)
-        if kind == "monomial":
-            return x**self.param
-        if kind == "sqrt":
-            return math.sqrt(x)
-        if kind == "exp2z":
-            return math.exp(2.0 * self.param * x)
-        if kind == "cos2z":
-            return math.cos(2.0 * self.param * x)
-        if kind == "sinh_shift":
-            return math.sinh(self.param * (2.0 * x - HALF_PI))
-        if kind == "logtan_power":
-            if dist_top is None:
-                dist_top = HALF_PI - x
-            lt = _log_tan(x, dist_top)
-            return lt if self.param == 1 else lt * lt
-        if kind == "logsine_x":
-            return x * math.log(math.sin(x))
-        raise ValueError(f"unknown kind {kind!r}")
+        return self._entry.value(self.param, x, dist_top)
+
+    def derivative(self, order: int, t: float) -> float:
+        """The order-th derivative at ``t``; ``ValueError`` for kinds without one."""
+        if self._entry.derivative is None:
+            raise ValueError(f"integrand kind {self.kind!r} has no derivative")
+        return self._entry.derivative(self.param, order, t)
 
     def describe(self) -> str:
-        kind = self.kind
-        if kind == "polynomial":
-            return f"polynomial(degree={self.param.degree})"
-        if kind == "monomial":
-            return {0: "1", 1: "x"}.get(self.param, f"x^{self.param}")
-        if kind == "sqrt":
-            return "sqrt(x)"
-        if kind == "exp2z":
-            return f"exp(2*{self.param}*x)"
-        if kind == "cos2z":
-            return f"cos(2*{self.param}*x)"
-        if kind == "sinh_shift":
-            return f"sinh({self.param}*(2x - pi/2))"
-        if kind == "logtan_power":
-            return "log(tan x)" if self.param == 1 else "log(tan x)^2"
-        return "x*log(sin x)"
+        return self._entry.describe(self.param)
 
     def __repr__(self) -> str:
         return f"FunctionSpec({self.describe()})"
@@ -152,6 +127,85 @@ def _finite(z: float) -> float:
     if not math.isfinite(z):
         raise ValueError("parameter must be finite")
     return z
+
+
+def _logtan_power(p: int, x: float, dist_top: float | None) -> float:
+    lt = _log_tan(x, HALF_PI - x if dist_top is None else dist_top)
+    return lt if p == 1 else lt * lt
+
+
+class CatalogEntry(NamedTuple):
+    """One integrand kind: ``parse`` builds its spec from a full match of the
+    lower-cased CLI ``token``; ``value``, ``describe`` and ``derivative`` take
+    the spec's ``param`` first.  Kinds without derivatives leave it None.
+    """
+
+    token: str
+    help: str
+    parse: Callable[[re.Match], FunctionSpec]
+    value: Callable[..., float]
+    describe: Callable[..., str]
+    derivative: Callable[..., float] | None = None
+
+
+# Derivatives are given where the derivative series of smooth_L_series applies.
+CATALOG: dict[str, CatalogEntry] = {
+    "monomial": CatalogEntry(
+        token=r"x(\d*)", help="x, x2, x3, ... (monomials)",
+        parse=lambda m: FunctionSpec.monomial(int(m[1] or 1)),
+        value=lambda n, x, dist_top: x**n,
+        describe=lambda n: {0: "1", 1: "x"}.get(n, f"x^{n}"),
+    ),
+    "sqrt": CatalogEntry(
+        token="sqrt", help="sqrt", parse=lambda m: FunctionSpec.sqrt(),
+        value=lambda _, x, dist_top: math.sqrt(x), describe=lambda _: "sqrt(x)",
+    ),
+    "polynomial": CatalogEntry(
+        token=r"(legendre|euler)(\d+)", help="legendreN; eulerN (scaled Euler polynomial)",
+        parse=lambda m: FunctionSpec.polynomial(
+            (shifted_legendre if m[1] == "legendre" else euler_poly_scaled)(int(m[2]))),
+        value=lambda poly, x, dist_top: poly.evaluate_float(x),
+        describe=lambda poly: f"polynomial(degree={poly.degree})",
+        derivative=lambda poly, order, t: poly.derivative(order).evaluate_float(t),
+    ),
+    "logtan_power": CatalogEntry(
+        token="logtan(2?)", help="logtan; logtan2",
+        parse=lambda m: FunctionSpec.logtan_power(2 if m[1] else 1),
+        value=_logtan_power,
+        describe=lambda p: "log(tan x)" if p == 1 else "log(tan x)^2",
+    ),
+    "logsine_x": CatalogEntry(
+        token="logsine", help="logsine", parse=lambda m: FunctionSpec.logsine_x(),
+        value=lambda _, x, dist_top: x * math.log(math.sin(x)),
+        describe=lambda _: "x*log(sin x)",
+    ),
+    "exp2z": CatalogEntry(
+        token="exp[:=](.+)", help="exp:Z",
+        parse=lambda m: FunctionSpec.exp2z(float(m[1])),
+        value=lambda c, x, dist_top: math.exp(2.0 * c * x),
+        describe=lambda c: f"exp(2*{c}*x)",
+        derivative=lambda c, order, t: (2.0 * c) ** order * math.exp(2.0 * c * t),
+    ),
+    "cos2z": CatalogEntry(
+        token="cos[:=](.+)", help="cos:Z",
+        parse=lambda m: FunctionSpec.cos2z(float(m[1])),
+        value=lambda c, x, dist_top: math.cos(2.0 * c * x),
+        describe=lambda c: f"cos(2*{c}*x)",
+        derivative=lambda c, order, t: (
+            (2.0 * c) ** order * math.cos(2.0 * c * t + order * HALF_PI)),
+    ),
+    "sinh_shift": CatalogEntry(
+        token="sinh[:=](.+)", help="sinh:Z for a finite real parameter Z",
+        parse=lambda m: FunctionSpec.sinh_shift(float(m[1])),
+        value=lambda c, x, dist_top: math.sinh(c * (2.0 * x - HALF_PI)),
+        describe=lambda c: f"sinh({c}*(2x - pi/2))",
+        # odd derivatives go through cosh
+        derivative=lambda c, order, t: (2.0 * c) ** order * (
+            math.cosh if order % 2 else math.sinh)(c * (2.0 * t - HALF_PI)),
+    ),
+}
+
+CATALOG_HELP = "; ".join(entry.help for entry in CATALOG.values())
 
 
 def _log_tan(x: float, dist_top: float) -> float:

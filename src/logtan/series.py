@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from .constants import digamma, zeta_int
 from .core import HALF_PI as HALF_PI_EXPR
 from .core import PiExpr, Polynomial, poly_derivative_at
-from .quadrature import FunctionSpec
-
-HALF_PI = math.pi / 2
+from .quadrature import HALF_PI, FunctionSpec
 
 
 def bradley_primitive(x: float, N: int) -> float:
@@ -139,29 +137,6 @@ def partial_sum_S(z: float, N: int) -> SeriesPartialSum:
     return SeriesPartialSum(N, value, last)
 
 
-_SMOOTH_KINDS = ("polynomial", "exp2z", "cos2z", "sinh_shift")
-
-
-def _derivative_at(f: FunctionSpec, order: int, t: float) -> float:
-    kind = f.kind
-    if kind == "polynomial":
-        poly: Polynomial = f.param
-        if order > poly.degree:
-            return 0.0
-        if t == 0.0:
-            return poly_derivative_at(poly, order, PiExpr.zero()).evaluate()
-        return poly.derivative(order).evaluate_float(t)
-    c = f.param
-    base = (2.0 * c) ** order
-    if kind == "exp2z":
-        return base * math.exp(2.0 * c * t)
-    if kind == "cos2z":
-        return base * math.cos(2.0 * c * t + order * HALF_PI)
-    # sinh_shift: odd derivatives go through cosh
-    arg = c * (2.0 * t - HALF_PI)
-    return base * (math.cosh(arg) if order % 2 == 1 else math.sinh(arg))
-
-
 def smooth_L_series(f: FunctionSpec, K: int, z: float = 1.0) -> float:
     """Derivative series for the log-tan integral of a smooth integrand.
 
@@ -170,22 +145,20 @@ def smooth_L_series(f: FunctionSpec, K: int, z: float = 1.0) -> float:
     (1 - 2^-(2k+1)) zeta(2k+1)``; for ``|z| <= 1`` the integrand is ``f(zx)``
     and the bracket is taken at ``0`` and ``pi z/2`` with an extra
     ``z^(2k-1)``.  Polynomial input makes the sum finite and reproduces the
-    exact closed form.
+    exact closed form; kinds without ``FunctionSpec.derivative`` raise.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if f.kind not in _SMOOTH_KINDS:
-        raise ValueError(f"unsupported integrand kind {f.kind!r}")
     if not abs(z) <= 1.0:
         raise ValueError("need |z| <= 1")
-    if f.kind != "polynomial" and not abs(f.param) < 1.0:
+    poly = f.param if isinstance(f.param, Polynomial) else None
+    if isinstance(f.param, float) and not abs(f.param) < 1.0:
         raise ValueError("parameterized integrands need |parameter| < 1")
-    endpoint_exact = z == 1.0 and f.kind == "polynomial"
+    endpoint_exact = z == 1.0 and poly is not None
     terms = []
     for k in range(1, K + 1):
         order = 2 * k - 1
         if endpoint_exact:
-            poly: Polynomial = f.param
             if order > poly.degree:
                 break
             bracket = (
@@ -194,7 +167,7 @@ def smooth_L_series(f: FunctionSpec, K: int, z: float = 1.0) -> float:
             ).evaluate()
             zpow = 1.0
         else:
-            bracket = _derivative_at(f, order, 0.0) + _derivative_at(f, order, HALF_PI * z)
+            bracket = f.derivative(order, 0.0) + f.derivative(order, HALF_PI * z)
             zpow = z**order
         terms.append(
             (-1) ** (k - 1)

@@ -7,6 +7,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from logtan.core import ZetaExpr, parse_zeta_expr
 
 
@@ -124,6 +126,17 @@ class TestQuadCommand:
     def test_tol_floor(self):
         out = run_cli("quad", "x", "--tol", "1e-14")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["quad", "exp:inf"],
+        ["quad", "sinh:nan"],
+        ["project", "cos:inf", "--terms", "3"],
+    ])
+    def test_non_finite_parameter_is_a_usage_error(self, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [out.stderr.strip()]
+        assert out.stderr.startswith("error: ")
 
 
 class TestConstantsCommand:

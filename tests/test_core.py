@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from logtan.core import (
@@ -100,6 +101,15 @@ class TestPolynomial:
         x = 0.8125
         exact = p.evaluate(Fraction(13, 16)).as_fraction()
         assert abs(p.evaluate_float(x) - float(exact)) < 1e-14
+
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    def test_evaluate_float_is_rounded_once(self, n):
+        # The basis lies in [-1, 1]; a float Horner over its large alternating
+        # coefficients loses everything by degree 30.
+        with mpmath.workdps(60):
+            for x in (0.1, 0.5, math.pi / 4, 1.2, 1.5):
+                ref = mpmath.legendre(n, 4 * mpmath.mpf(x) / mpmath.pi - 1)
+                assert abs(shifted_legendre(n).evaluate_float(x) - ref) <= 1e-15
 
 
 class TestBernoulli:

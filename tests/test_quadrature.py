@@ -9,7 +9,9 @@ import pytest
 from logtan.closed_forms import exact_L
 from logtan.constants import catalan, eval_zeta_expr
 from logtan.core import Polynomial, euler_poly_scaled, shifted_legendre
+from logtan.cli import CATALOG_HELP
 from logtan.quadrature import (
+    CATALOG,
     FunctionSpec,
     QuadratureError,
     inner_product,
@@ -161,6 +163,37 @@ class TestFunctionSpec:
     def test_describe(self):
         assert FunctionSpec.monomial(2).describe() == "x^2"
         assert FunctionSpec.sqrt().describe() == "sqrt(x)"
+
+    # One CLI token per catalog entry: (token, its name in CATALOG_HELP, describe()).
+    SAMPLE_TOKENS = {
+        "monomial": ("x3", "x3", "x^3"),
+        "sqrt": ("sqrt", "sqrt", "sqrt(x)"),
+        "polynomial": ("legendre3", "legendreN", "polynomial(degree=3)"),
+        "logtan_power": ("logtan2", "logtan2", "log(tan x)^2"),
+        "logsine_x": ("logsine", "logsine", "x*log(sin x)"),
+        "exp2z": ("exp:0.3", "exp:Z", "exp(2*0.3*x)"),
+        "cos2z": ("cos:0.5", "cos:Z", "cos(2*0.5*x)"),
+        "sinh_shift": ("sinh:0.4", "sinh:Z", "sinh(0.4*(2x - pi/2))"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CATALOG))
+    def test_catalog_entry(self, kind):
+        token, help_name, description = self.SAMPLE_TOKENS[kind]
+        assert help_name in CATALOG_HELP
+        f = FunctionSpec.parse(token)
+        assert f.kind == kind
+        assert f.describe() == description
+        points = (0.1, 0.7, 1.2, 1.5)
+        assert all(math.isfinite(f.value(t)) for t in points)
+        if CATALOG[kind].derivative is None:
+            with pytest.raises(ValueError):
+                f.derivative(1, 0.7)
+            return
+        h = 1e-5
+        for t in points:
+            assert f.derivative(0, t) == f.value(t)
+            central = (f.value(t + h) - f.value(t - h)) / (2 * h)
+            assert math.isclose(f.derivative(1, t), central, rel_tol=1e-6, abs_tol=1e-9)
 
 
 class TestEnvOverride:
