@@ -26,6 +26,11 @@ PI_FRACTION = Fraction(
     10**59,
 )
 
+# Fraction bits of the fixed-point table that Polynomial.evaluate_float runs
+# Horner over: coefficient k is stored as the integer round(c_k * 2**F).
+_FIXED_BITS = 256
+_FIXED_ONE = 1 << _FIXED_BITS
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -182,7 +187,7 @@ class Polynomial:
     scaled families like the shifted Legendre basis live in one type.
     """
 
-    __slots__ = ("_coeffs", "_folded")
+    __slots__ = ("_coeffs", "_fixed", "_folded")
 
     def __init__(self, coeffs: Iterable):
         cs = [c if isinstance(c, PiExpr) else PiExpr({0: c}) for c in coeffs]
@@ -191,6 +196,7 @@ class Polynomial:
         while len(cs) > 1 and not cs[-1]:
             cs.pop()
         self._coeffs = tuple(cs)
+        self._fixed = None
         self._folded = None
 
     @classmethod
@@ -291,8 +297,45 @@ class Polynomial:
         return acc
 
     def evaluate_float(self, x: float) -> float:
-        """Value at a float by exact-rational Horner, rounded once; the
-        coefficients are folded with ``PI_FRACTION`` on first use and kept."""
+        """Value at a float, rounded once from the exact value of the
+        polynomial with its coefficients folded with ``PI_FRACTION``.
+
+        Fast path: a finite float ``x = m / 2**s`` runs through integer
+        Horner over the coefficients rounded to units of ``2**-256``,
+        ``acc = (acc*m >> s) + C_k``.  Each step errs by at most 1 unit for
+        the floor and 1/2 for the coefficient, so the exact value lies within
+        ``1.5 * sum_{j<=n} |x|**j <= 1.5 * (n+1) * 2**(e*n)`` units of ``acc``
+        for ``|x| < 2**e`` (Higham, ch. 5); that bound ``B`` is an integer.
+        When ``acc - B`` and ``acc + B`` round to the same double, so does
+        everything between them, and that double is returned (Ziv's rounding
+        test).  Fallback: otherwise, and for any other input, exact rational
+        Horner decides.  The result, or the exception, is therefore bit for
+        bit that of ``float(sum(c.to_fraction() * Fraction(x)**k))``.  The
+        fixed-point table is built on first use and the rational one on first
+        fallback; both are kept on the polynomial.
+        """
+        if self._fixed is None:
+            self._fixed = tuple(
+                round(c.to_fraction() * _FIXED_ONE) for c in reversed(self._coeffs)
+            )
+        if isinstance(x, float) and math.isfinite(x):
+            m, d = x.as_integer_ratio()
+            s = d.bit_length() - 1
+            acc = 0
+            for c in self._fixed:
+                acc = ((acc * m) >> s) + c
+            n = len(self._fixed) - 1
+            e = max(abs(m).bit_length() - s, 0)
+            bound = ((3 * n + 5) // 2) << (e * n)
+            try:
+                lo = (acc - bound) / _FIXED_ONE
+                if lo == (acc + bound) / _FIXED_ONE:
+                    return lo
+            except OverflowError:
+                pass
+        return self._evaluate_exact(x)
+
+    def _evaluate_exact(self, x) -> float:
         if self._folded is None:
             self._folded = tuple(c.to_fraction() for c in reversed(self._coeffs))
         acc = Fraction(0)

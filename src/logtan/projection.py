@@ -21,16 +21,11 @@ from .core import ZetaExpr, shifted_legendre
 from .quadrature import HALF_PI, FunctionSpec, inner_product
 
 
-@lru_cache(maxsize=None)
-def _legendre_spec(n: int) -> FunctionSpec:
-    return FunctionSpec.polynomial(shifted_legendre(n))
-
-
 def legendre_spec(n: int) -> FunctionSpec:
     """The degree-n shifted Legendre basis element as a quadrature integrand."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _legendre_spec(n)
+    return FunctionSpec.polynomial(shifted_legendre(n))
 
 
 def legendre_values(x: float, n_max: int) -> list[float]:
@@ -63,7 +58,7 @@ def expand(f: FunctionSpec, N: int, tol: float = 1e-12) -> LegendreCoeffs:
     if N < 0:
         raise ValueError("truncation order must be >= 0")
     coeffs = tuple(
-        (2 * n + 1) * inner_product(f, _legendre_spec(n), tol).value
+        (2 * n + 1) * inner_product(f, legendre_spec(n), tol).value
         for n in range(N + 1)
     )
     return LegendreCoeffs(coeffs, f, N)
@@ -83,7 +78,7 @@ class ApproxL:
 
 def _odd_inner_products(f: FunctionSpec, N: int, tol: float) -> dict[int, float]:
     return {
-        j: inner_product(f, _legendre_spec(2 * j - 1), tol).value
+        j: inner_product(f, legendre_spec(2 * j - 1), tol).value
         for j in range(1, N + 1)
     }
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .constants import digamma, zeta_int
+from .constants import digamma, eval_zeta_expr, zeta_int
 from .core import HALF_PI as HALF_PI_EXPR
-from .core import PiExpr, Polynomial, poly_derivative_at
+from .core import PiExpr, Polynomial, ZetaExpr, poly_derivative_at
 from .quadrature import HALF_PI, FunctionSpec
 
 
@@ -144,38 +145,43 @@ def smooth_L_series(f: FunctionSpec, K: int, z: float = 1.0) -> float:
     ``sum_{k=1}^{K} (-1)^(k-1) 2^(1-2k) [f^(2k-1)(0) + f^(2k-1)(pi/2)]
     (1 - 2^-(2k+1)) zeta(2k+1)``; for ``|z| <= 1`` the integrand is ``f(zx)``
     and the bracket is taken at ``0`` and ``pi z/2`` with an extra
-    ``z^(2k-1)``.  Polynomial input makes the sum finite and reproduces the
-    exact closed form; kinds without ``FunctionSpec.derivative`` raise.
+    ``z^(2k-1)``.  Polynomial input makes the sum finite; its terms are
+    accumulated exactly with ``q = Fraction(z)`` and evaluated once, as in
+    ``exact_L``, because they are large and alternate.  Kinds without
+    ``FunctionSpec.derivative`` raise.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if not abs(z) <= 1.0:
         raise ValueError("need |z| <= 1")
-    poly = f.param if isinstance(f.param, Polynomial) else None
+    if isinstance(f.param, Polynomial):
+        poly = f.param
+        q = Fraction(z)
+        top = HALF_PI_EXPR * q
+        exact: dict[int, PiExpr] = {}
+        for k in range(1, min(K, (poly.degree + 1) // 2) + 1):
+            order = 2 * k - 1
+            bracket = poly_derivative_at(poly, order, PiExpr.zero()) + poly_derivative_at(
+                poly, order, top
+            )
+            scale = Fraction((-1) ** (k - 1), 2 ** (2 * k - 1)) * (
+                1 - Fraction(1, 2 ** (2 * k + 1))
+            ) * q**order
+            exact[2 * k + 1] = bracket * scale
+        return eval_zeta_expr(ZetaExpr(exact)).value
     if isinstance(f.param, float) and not abs(f.param) < 1.0:
         raise ValueError("parameterized integrands need |parameter| < 1")
-    endpoint_exact = z == 1.0 and poly is not None
     terms = []
     for k in range(1, K + 1):
         order = 2 * k - 1
-        if endpoint_exact:
-            if order > poly.degree:
-                break
-            bracket = (
-                poly_derivative_at(poly, order, PiExpr.zero())
-                + poly_derivative_at(poly, order, HALF_PI_EXPR)
-            ).evaluate()
-            zpow = 1.0
-        else:
-            bracket = f.derivative(order, 0.0) + f.derivative(order, HALF_PI * z)
-            zpow = z**order
+        bracket = f.derivative(order, 0.0) + f.derivative(order, HALF_PI * z)
         terms.append(
             (-1) ** (k - 1)
             * 2.0 ** (1 - 2 * k)
             * bracket
             * (1.0 - 2.0 ** -(2 * k + 1))
             * zeta_int(2 * k + 1).value
-            * zpow
+            * z**order
         )
     return math.fsum(terms)
 

@@ -112,6 +112,108 @@ class TestPolynomial:
                 assert abs(shifted_legendre(n).evaluate_float(x) - ref) <= 1e-15
 
 
+def _exact_evaluator(p):
+    """``x -> float(sum(c_k.to_fraction() * Fraction(x)**k))``, the exact sum
+    taken over one common denominator and rounded once."""
+    folded = [c.to_fraction() for c in p.coeffs]
+    den = math.lcm(*(c.denominator for c in folded))
+    nums = [c.numerator * (den // c.denominator) for c in folded]
+    n = len(nums) - 1
+
+    def value(x):
+        m, d = Fraction(x).as_integer_ratio()
+        num = sum(a * m**k * d ** (n - k) for k, a in enumerate(nums))
+        return float(Fraction(num, den * d**n))
+
+    return value
+
+
+def _sweep_polynomials():
+    rng = random.Random(20161)
+    polys = [shifted_legendre(n) for n in range(31)]
+    polys += [euler_poly_scaled(n) for n in range(25)]
+    for i in range(24):
+        scaled = i % 2 == 1  # coefficient k carries pi**-k: a polynomial in 2x/pi
+        degree = rng.randint(1, 40)
+        polys.append(Polynomial([
+            PiExpr({-k if scaled else 0: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999))})
+            for k in range(degree + 1)
+        ]))
+    return polys + [Polynomial.zero(), Polynomial.constant(Fraction(-5, 3))]
+
+
+def _sweep_points():
+    from logtan.quadrature import _level_nodes
+
+    points = []
+    for level in range(5):
+        for d, _ in _level_nodes(level)[::7]:
+            for a, b in ((0.0, math.pi / 4), (math.pi / 4, math.pi / 2)):
+                half = 0.5 * (b - a)
+                points += [a + half * d, b - half * d]
+    return points + [5e-324, 1e-300, 0.0, -0.0, -1e-300, -0.3, -1.5, 1.0, 3.75,
+                     math.pi / 4, math.pi / 2, math.pi / 2 - 1e-15]
+
+
+class TestEvaluateFloatBits:
+    """The fixed-point fast path returns the bits of the exact evaluation."""
+
+    def test_sweep_matches_exact_rational_horner(self):
+        points = _sweep_points()
+        for p in _sweep_polynomials():
+            exact = _exact_evaluator(p)
+            for x in points:
+                got, ref = p.evaluate_float(x), exact(x)
+                assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref), (p, x)
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, 1e30, float("inf"), float("nan")])
+    def test_huge_and_non_finite_x_match_value_or_exception(self, x):
+        for p in (shifted_legendre(0), shifted_legendre(3), euler_poly_scaled(8),
+                  Polynomial.from_rationals([Fraction(1, 3), -2])):
+            try:
+                ref, ref_exc = _exact_evaluator(p)(x), None
+            except (OverflowError, ValueError) as exc:
+                ref, ref_exc = None, exc
+            try:
+                got, got_exc = p.evaluate_float(x), None
+            except (OverflowError, ValueError) as exc:
+                got, got_exc = None, exc
+            if ref_exc is None:
+                assert got_exc is None and got == ref
+            else:
+                assert type(got_exc) is type(ref_exc) and str(got_exc) == str(ref_exc)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 9, 15])
+    def test_odd_euler_root_at_quarter_pi(self, n):
+        p = euler_poly_scaled(n)
+        assert p.evaluate_float(math.pi / 4) == _exact_evaluator(p)(math.pi / 4)
+
+    def test_dyadic_roots_beyond_one_give_exact_zero(self):
+        # Floor errors grow like |x|**j past |x| = 1; the bound must follow.
+        rng = random.Random(7)
+        rest = Polynomial.from_rationals(
+            [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999)) for _ in range(39)])
+        p = Polynomial.from_rationals([Fraction(45, 8), Fraction(9, 4), -1]) * rest
+        for root in (3.75, -1.5):
+            assert _exact_evaluator(p)(root) == 0.0
+            assert p.evaluate_float(root) == 0.0
+
+    def test_even_euler_at_tiny_x_takes_the_exact_fallback(self, monkeypatch):
+        # E_n(0) = 0 for even n >= 2, so the value at tiny x is far below the
+        # fixed-point resolution and the rounding test must fail.
+        calls = []
+        exact = Polynomial._evaluate_exact
+        monkeypatch.setattr(Polynomial, "_evaluate_exact",
+                            lambda self, x: calls.append(x) or exact(self, x))
+        p = euler_poly_scaled(8)
+        for x in (5e-324, 1e-300, 1e-70):
+            assert p.evaluate_float(x) == _exact_evaluator(p)(x)
+        assert calls == [5e-324, 1e-300, 1e-70]
+        calls.clear()
+        assert shifted_legendre(24).evaluate_float(0.3) == _exact_evaluator(shifted_legendre(24))(0.3)
+        assert calls == []
+
+
 class TestBernoulli:
     def test_first_values(self):
         assert bernoulli(0) == 1

@@ -90,6 +90,32 @@ class TestExpand:
                      * two_over_pi * (2 * n + 1)).evaluate()
             assert abs(got.coeffs[n] - exact) <= 1e-12
 
+    def test_pinned_bits_of_sqrt_through_degree_19(self):
+        # Recorded before the fixed-point sampling of polynomials; the basis
+        # is sampled at every node, so any change to that arithmetic shows.
+        assert expand(FunctionSpec.sqrt(), 19).coeffs == (
+            0.8355427582103335,
+            0.5013256549262002,
+            -0.11936325117290505,
+            0.055702850547355236,
+            -0.032553613956247264,
+            0.021424173287443723,
+            -0.015191686512916016,
+            0.011342209387469493,
+            -0.008795186928531156,
+            0.007021367716051952,
+            -0.005735991475129545,
+            0.00477453004691459,
+            -0.004036438445462343,
+            0.00345741830983366,
+            -0.0029947769111506287,
+            0.0026192562953276633,
+            -0.002310256474316528,
+            0.002052930609850073,
+            -0.0018363577103566653,
+            0.0016523587835372072,
+        )
+
 
 class TestApproxL:
     def test_sqrt_paper_truncation(self):

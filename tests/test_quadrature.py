@@ -14,6 +14,7 @@ from logtan.quadrature import (
     CATALOG,
     FunctionSpec,
     QuadratureError,
+    QuadratureResult,
     inner_product,
     integrate_logtan,
     integrate_plain,
@@ -87,6 +88,16 @@ class TestIntegrateLogtan:
         f = FunctionSpec.exp2z(300.0)
         with pytest.raises(QuadratureError):
             integrate_logtan(f, tol=1e-10)
+
+    # Bits of the oracle on two basis polynomials, recorded before the
+    # fixed-point sampling of polynomials; any change to the sampled
+    # arithmetic changes them.
+    @pytest.mark.parametrize("n, expected", [
+        (9, QuadratureResult(0.034906572543494746, 2.185751579730777e-16, 5)),
+        (24, QuadratureResult(-4.605690828718423e-16, 5.637851296924623e-17, 6)),
+    ])
+    def test_pinned_bits_of_legendre_basis(self, n, expected):
+        assert integrate_logtan(FunctionSpec.polynomial(shifted_legendre(n))) == expected
 
 
 class TestIntegratePlain:

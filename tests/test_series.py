@@ -7,7 +7,7 @@ import pytest
 
 from logtan.closed_forms import cos_lemma, exact_L
 from logtan.constants import catalan, eval_pi_expr, eval_zeta_expr, zeta_int
-from logtan.core import Polynomial
+from logtan.core import Polynomial, shifted_legendre
 from logtan.quadrature import FunctionSpec, integrate_logtan
 from logtan.series import (
     bradley_primitive,
@@ -140,6 +140,19 @@ class TestSmoothSeries:
             target = eval_zeta_expr(exact_L(poly)).value
             got = smooth_L_series(FunctionSpec.polynomial(poly), 10)
             assert abs(got - target) <= 1e-12
+
+    def test_polynomial_with_z_below_one_is_summed_exactly(self):
+        # The terms are large and alternate; summed in doubles they gave -5.74e4.
+        P = shifted_legendre(21)
+        target = eval_zeta_expr(exact_L(P.compose_affine(Fraction(0.9), 0))).value
+        assert abs(target - 2.3549e-4) <= 1e-8
+        assert smooth_L_series(FunctionSpec.polynomial(P), 20, z=0.9) == target
+
+    @pytest.mark.parametrize("n", [7, 11, 21])
+    def test_polynomial_at_z_one_is_exact_L(self, n):
+        P = shifted_legendre(n)
+        got = smooth_L_series(FunctionSpec.polynomial(P), n)
+        assert got == eval_zeta_expr(exact_L(P)).value
 
     def test_exp_matches_series_and_oracle(self):
         z = 0.3
