@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .quadrature import (
     CATALOG_HELP,
     HALF_PI,
     FunctionSpec,
+    _resolve_max_levels,
     integrate_logtan,
     integrate_plain,
 )
@@ -245,8 +247,8 @@ def cmd_constants(args) -> tuple[Report, int]:
             x = float(args.value)
         except ValueError:
             raise UsageError(f"bad digamma argument {args.value!r}") from None
-        if not x > 0:
-            raise UsageError("digamma argument must be > 0")
+        if not 0 < x < math.inf:
+            raise UsageError("digamma argument must be finite and > 0")
         nv = digamma(x)
         inputs = {"name": f"digamma({x:g})"}
     else:  # pragma: no cover - argparse restricts choices
@@ -320,6 +322,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if getattr(args, "terms", None) is not None and args.terms < 1:
         print("error: --terms must be >= 1", file=sys.stderr)
+        return 2
+    try:
+        _resolve_max_levels(None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         report, status = args.handler(args)

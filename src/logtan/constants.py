@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .core import PiExpr, ZetaExpr, bernoulli
 
 EULER_GAMMA = 0.5772156649015328606065120900824024310421593359399
@@ -184,6 +182,8 @@ def _log10_fraction(q: Fraction) -> float:
 
 
 def _eval_zeta_expr_guarded(e: ZetaExpr) -> NumericValue:
+    import mpmath  # deferred: only this rare path needs it, and it is slow to import
+
     magnitude = 0.0
     for m, coeff in e.terms.items():
         for j, q in coeff.terms.items():

@@ -482,17 +482,16 @@ def bernoulli_table(n_max: int) -> list[Fraction]:
 def euler_poly(n: int) -> Polynomial:
     """Euler polynomial ``E_n(x)`` with exact rational coefficients.
 
-    Uses the inversion recurrence
-    ``E_n(x) = x**n - (1/2) sum_{k<n} C(n, k) E_k(x)``.
+    From the Bernoulli numbers,
+    ``E_n(x) = 2/(n+1) sum_{k=1}^{n+1} C(n+1, k) (1 - 2^k) B_k x^(n+1-k)``,
+    that is ``2/(n+1) [B_{n+1}(x) - 2^(n+1) B_{n+1}(x/2)]``.
     """
     if n < 0:
         raise ValueError("Euler polynomial index must be >= 0")
-    if n == 0:
-        return Polynomial.constant(1)
-    acc = Polynomial.monomial(n)
-    for k in range(n):
-        acc = acc - Fraction(comb(n, k), 2) * euler_poly(k)
-    return acc
+    B = bernoulli_table(n + 1)
+    return Polynomial.from_rationals(
+        Fraction(2 * comb(n + 1, k) * (1 - 2**k), n + 1) * B[k] for k in range(n + 1, 0, -1)
+    )
 
 
 _TWO_OVER_PI = PiExpr.pi_power(-1, 2)

@@ -148,7 +148,7 @@ class CatalogEntry(NamedTuple):
     derivative: Callable[..., float] | None = None
 
 
-# Derivatives are given where the derivative series of smooth_L_series applies.
+# Float derivatives for smooth_L_series; it sums polynomials exactly through exact_L.
 CATALOG: dict[str, CatalogEntry] = {
     "monomial": CatalogEntry(
         token=r"x(\d*)", help="x, x2, x3, ... (monomials)",
@@ -166,7 +166,6 @@ CATALOG: dict[str, CatalogEntry] = {
             (shifted_legendre if m[1] == "legendre" else euler_poly_scaled)(int(m[2]))),
         value=lambda poly, x, dist_top: poly.evaluate_float(x),
         describe=lambda poly: f"polynomial(degree={poly.degree})",
-        derivative=lambda poly, order, t: poly.derivative(order).evaluate_float(t),
     ),
     "logtan_power": CatalogEntry(
         token="logtan(2?)", help="logtan; logtan2",
@@ -304,8 +303,11 @@ def _resolve_max_levels(max_levels: int | None) -> int:
             return DEFAULT_MAX_LEVELS
         try:
             max_levels = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{MAX_LEVELS_ENV} must be an integer, got {raw!r}") from exc
+        except ValueError:
+            max_levels = None
+        if max_levels is None or max_levels < 1:
+            raise ValueError(f"{MAX_LEVELS_ENV} must be an integer >= 1, got {raw!r}")
+        return max_levels
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     return max_levels

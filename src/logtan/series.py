@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .closed_forms import exact_L
 from .constants import digamma, eval_zeta_expr, zeta_int
-from .core import HALF_PI as HALF_PI_EXPR
-from .core import PiExpr, Polynomial, ZetaExpr, poly_derivative_at
+from .core import Polynomial, ZetaExpr
 from .quadrature import HALF_PI, FunctionSpec
 
 
@@ -145,30 +145,19 @@ def smooth_L_series(f: FunctionSpec, K: int, z: float = 1.0) -> float:
     ``sum_{k=1}^{K} (-1)^(k-1) 2^(1-2k) [f^(2k-1)(0) + f^(2k-1)(pi/2)]
     (1 - 2^-(2k+1)) zeta(2k+1)``; for ``|z| <= 1`` the integrand is ``f(zx)``
     and the bracket is taken at ``0`` and ``pi z/2`` with an extra
-    ``z^(2k-1)``.  Polynomial input makes the sum finite; its terms are
-    accumulated exactly with ``q = Fraction(z)`` and evaluated once, as in
-    ``exact_L``, because they are large and alternate.  Kinds without
-    ``FunctionSpec.derivative`` raise.
+    ``z^(2k-1)``.  Polynomial input goes through ``exact_L``: the value is
+    ``exact_L(P(qx))`` with ``q = Fraction(z)``, cut to its ``zeta(m)``
+    terms with ``m <= 2K+1`` and evaluated once, because the terms are large
+    and alternate.  Other kinds without ``FunctionSpec.derivative`` raise.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if not abs(z) <= 1.0:
         raise ValueError("need |z| <= 1")
     if isinstance(f.param, Polynomial):
-        poly = f.param
-        q = Fraction(z)
-        top = HALF_PI_EXPR * q
-        exact: dict[int, PiExpr] = {}
-        for k in range(1, min(K, (poly.degree + 1) // 2) + 1):
-            order = 2 * k - 1
-            bracket = poly_derivative_at(poly, order, PiExpr.zero()) + poly_derivative_at(
-                poly, order, top
-            )
-            scale = Fraction((-1) ** (k - 1), 2 ** (2 * k - 1)) * (
-                1 - Fraction(1, 2 ** (2 * k + 1))
-            ) * q**order
-            exact[2 * k + 1] = bracket * scale
-        return eval_zeta_expr(ZetaExpr(exact)).value
+        closed = exact_L(f.param.compose_affine(Fraction(z), 0)).terms
+        kept = ZetaExpr({m: c for m, c in closed.items() if m <= 2 * K + 1})
+        return eval_zeta_expr(kept).value
     if isinstance(f.param, float) and not abs(f.param) < 1.0:
         raise ValueError("parameterized integrands need |parameter| < 1")
     terms = []

@@ -159,9 +159,11 @@ class TestConstantsCommand:
         out = run_cli("constants", "zeta")
         assert out.returncode == 2
 
-    def test_bad_argument(self):
-        out = run_cli("constants", "digamma", "-1")
+    @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
+    def test_bad_argument(self, value):
+        out = run_cli("constants", "digamma", value)
         assert out.returncode == 2
+        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -231,3 +233,19 @@ class TestEnvironment:
         out = run_cli("quad", "sqrt", "--format", "json", env=env)
         payload = json.loads(out.stdout)
         assert payload["inputs"]["levels"] <= 2
+
+    @pytest.mark.parametrize("raw", ["", "abc", "0"])
+    def test_malformed_max_levels_is_a_usage_error(self, raw):
+        import os
+
+        env = dict(os.environ, LOGTAN_MAX_LEVELS=raw)
+        out = run_cli("quad", "sqrt", env=env)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: LOGTAN_MAX_LEVELS") and out.stderr.count("\n") == 1
+
+    def test_import_leaves_out_mpmath(self):
+        code = "import sys, logtan.cli; print('mpmath' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0
+        assert out.stdout.strip() == "False"
