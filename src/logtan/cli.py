@@ -10,20 +10,17 @@ Subcommands: ``exact`` (closed form of a polynomial integral), ``project``
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
-from .closed_forms import exact_L
-from .constants import catalan, digamma, eval_zeta_expr, zeta_int
 from .core import PiExpr, Polynomial, format_zeta_expr
-from .projection import approx_L, expand
+
+# The parser needs quadrature; the handlers import the other modules they run,
+# so that a request compiles only those.
 from .quadrature import (
     CATALOG_HELP,
     HALF_PI,
@@ -32,7 +29,6 @@ from .quadrature import (
     integrate_logtan,
     integrate_plain,
 )
-from .verify import run_suite
 
 CSV_HEADER = [
     "command", "name", "exact", "numeric", "oracle",
@@ -40,15 +36,14 @@ CSV_HEADER = [
 ]
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """One command's result in a format-independent shape.
 
     ``delta`` is set exactly when both ``numeric`` and ``oracle`` are.
     """
 
     command: str
-    inputs: dict = field(default_factory=dict)
+    inputs: dict
     exact: str | None = None
     numeric: tuple[float, float] | None = None  # (value, err_bound)
     oracle: tuple[float, float] | None = None  # (value, est_error)
@@ -95,6 +90,8 @@ def render_text(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
+    import json
+
     payload = {
         "command": report.command,
         "inputs": report.inputs,
@@ -122,6 +119,9 @@ def render_json(report: Report) -> str:
 
 
 def render_csv(report: Report) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
@@ -175,6 +175,9 @@ def parse_function(name: str) -> FunctionSpec:
 
 
 def cmd_exact(args) -> tuple[Report, int]:
+    from .closed_forms import exact_L
+    from .constants import eval_zeta_expr
+
     coeffs = parse_rational_list(args.poly_spec)
     poly = Polynomial.from_rationals(coeffs)
     if args.var == "scaled":
@@ -193,6 +196,8 @@ def cmd_exact(args) -> tuple[Report, int]:
 
 
 def cmd_project(args) -> tuple[Report, int]:
+    from .projection import approx_L, expand
+
     f = parse_function(args.function)
     coeffs = expand(f, args.terms, tol=min(args.tol, 1e-12))
     approx = approx_L(f, max(1, (args.terms + 1) // 2), tol=min(args.tol, 1e-12))
@@ -225,6 +230,8 @@ def cmd_quad(args) -> tuple[Report, int]:
 
 
 def cmd_constants(args) -> tuple[Report, int]:
+    from .constants import catalan, digamma, zeta_int
+
     name = args.name
     if name == "zeta":
         if args.value is None:
@@ -259,7 +266,9 @@ def cmd_constants(args) -> tuple[Report, int]:
 
 
 def cmd_verify(args) -> tuple[Report, int]:
-    rows = run_suite(args.suite, tol=min(args.tol, 1e-12))
+    from . import verify
+
+    rows = verify.run_suite(args.suite, tol=min(args.tol, 1e-12))
     report = Report(command="verify", inputs={"suite": args.suite}, checks=rows)
     return report, 0 if all(row.passed for row in rows) else 1
 
@@ -323,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "terms", None) is not None and args.terms < 1:
         print("error: --terms must be >= 1", file=sys.stderr)
         return 2
+    if args.subcommand == "quad" and not (math.isfinite(args.a) and math.isfinite(args.b)):
+        print("error: --a and --b must be finite", file=sys.stderr)
+        return 2
     try:
         _resolve_max_levels(None)
     except ValueError as exc:
@@ -335,7 +347,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = RENDERERS[args.format](report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return 2
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

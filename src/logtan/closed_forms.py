@@ -8,9 +8,9 @@ they can be cross-checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .core import (
     HALF_PI,
@@ -50,8 +50,7 @@ def exact_L(P: Polynomial) -> ZetaExpr:
     return ZetaExpr(terms)
 
 
-@dataclass(frozen=True)
-class MomentResult:
+class MomentResult(NamedTuple):
     """Exact value of the n-th monomial moment against log tan."""
 
     value: ZetaExpr

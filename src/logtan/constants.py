@@ -9,8 +9,8 @@ with guard digits internally so the returned double is fully accurate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import PiExpr, ZetaExpr, bernoulli
 
@@ -20,8 +20,7 @@ LOG2 = 0.6931471805599453094172321214581765680755001343602
 _LOG10_PI = 0.49714987269413385435
 
 
-@dataclass(frozen=True)
-class NumericValue:
+class NumericValue(NamedTuple):
     """A double-precision value with a nonnegative error bound."""
 
     value: float
@@ -32,6 +31,7 @@ class NumericValue:
 
 
 _ZETA_MEMO: dict[int, NumericValue] = {}
+_S_UNDERFLOW = 1100  # 2.0 ** -1100 == 0.0
 
 
 def zeta_int(s: int) -> NumericValue:
@@ -46,7 +46,9 @@ def zeta_int(s: int) -> NumericValue:
         raise ValueError("zeta_int requires s >= 2")
     hit = _ZETA_MEMO.get(s)
     if hit is None:
-        hit = _zeta_euler_maclaurin(s)
+        # From s = _S_UNDERFLOW on, every term but 1 underflows to 0.0, so the
+        # result no longer depends on s; s may not even convert to a float.
+        hit = _zeta_euler_maclaurin(min(s, _S_UNDERFLOW))
         _ZETA_MEMO[s] = hit
     return hit
 

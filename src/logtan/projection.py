@@ -10,10 +10,10 @@ basis reduce to rationals times ``sqrt(pi/2)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from .closed_forms import byerly_coeff, legendre_L_coeff
 from .constants import eval_zeta_expr, zeta_int
@@ -39,8 +39,7 @@ def legendre_values(x: float, n_max: int) -> list[float]:
     return vals
 
 
-@dataclass(frozen=True)
-class LegendreCoeffs:
+class LegendreCoeffs(NamedTuple):
     """Truncated expansion coefficients ``c_n = (2n+1) <f, P~_n>``."""
 
     coeffs: tuple[float, ...]
@@ -64,8 +63,7 @@ def expand(f: FunctionSpec, N: int, tol: float = 1e-12) -> LegendreCoeffs:
     return LegendreCoeffs(coeffs, f, N)
 
 
-@dataclass(frozen=True)
-class ApproxL:
+class ApproxL(NamedTuple):
     """Truncated zeta-series value of the log-tan integral of ``f``.
 
     ``value = sum_k c_table[(N,k)] * (-1)^(k-1) pi^-(2k-1) (1-2^-(2k+1)) zeta(2k+1)``.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .core import Polynomial, euler_poly_scaled, shifted_legendre
@@ -34,8 +33,7 @@ class QuadratureError(ArithmeticError):
     """Raised when an integrand sample is not finite."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Integral estimate; est_error is the difference of the last two levels."""
 
     value: float

@@ -9,8 +9,8 @@ Truncation orders are always explicit arguments; nothing stops adaptively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .closed_forms import exact_L
 from .constants import digamma, eval_zeta_expr, zeta_int
@@ -116,8 +116,7 @@ def cos_integral_F(z: float) -> float:
     return math.sin(math.pi * z) / (4.0 * z) * bracket
 
 
-@dataclass(frozen=True)
-class SeriesPartialSum:
+class SeriesPartialSum(NamedTuple):
     """A truncated series value; the last term is a truncation heuristic."""
 
     N: int

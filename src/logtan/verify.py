@@ -8,7 +8,7 @@ the test suite reuses them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import closed_forms as cf
 from . import constants as cn
@@ -27,8 +27,7 @@ from .quadrature import FunctionSpec, integrate_logtan, integrate_plain
 SUITES = ("exact", "series", "constants")
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     expected: str
     got: str

@@ -11,6 +11,9 @@ import pytest
 
 from logtan.core import ZetaExpr, parse_zeta_expr
 
+# Modules that no request except `project` and `verify` may load.
+NOT_FOR_EXACT = {"dataclasses", "logtan.projection", "logtan.series", "logtan.verify"}
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -131,6 +134,10 @@ class TestQuadCommand:
         ["quad", "exp:inf"],
         ["quad", "sinh:nan"],
         ["project", "cos:inf", "--terms", "3"],
+        ["quad", "x", "--a", "nan"],
+        ["quad", "x", "--b", "nan"],
+        ["quad", "x", "--b", "inf"],
+        ["quad", "x", "--a=-inf"],
     ])
     def test_non_finite_parameter_is_a_usage_error(self, argv):
         out = run_cli(*argv)
@@ -158,6 +165,12 @@ class TestConstantsCommand:
     def test_missing_argument(self):
         out = run_cli("constants", "zeta")
         assert out.returncode == 2
+
+    def test_zeta_argument_beyond_float_range(self):
+        out = run_cli("constants", "zeta", str(10**400), "--format", "json")
+        assert out.returncode == 0
+        payload = json.loads(out.stdout)
+        assert payload["numeric"] == {"value": 1.0, "err_bound": 4e-16}
 
     @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
     def test_bad_argument(self, value):
@@ -201,7 +214,7 @@ class TestVerifyCommand:
         from logtan.verify import CheckRow
 
         monkeypatch.setattr(
-            cli, "run_suite",
+            "logtan.verify.run_suite",
             lambda suite, tol: [CheckRow("forced failure", "0", "1", 0.0, False)],
         )
         assert cli.main(["verify", "exact"]) == 1
@@ -217,6 +230,14 @@ class TestOutputFile:
         assert out.stdout == ""
         payload = json.loads(target.read_text())
         assert payload["exact"] == "7/8 * zeta(3)"
+
+    def test_out_in_missing_directory_is_a_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        out = run_cli("constants", "catalan", "--out", str(target))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: --out: ") and out.stderr.count("\n") == 1
+        assert not target.parent.exists()
 
     def test_csv_single_row(self):
         out = run_cli("exact", "0,1", "--format", "csv")
@@ -243,6 +264,27 @@ class TestEnvironment:
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr.startswith("error: LOGTAN_MAX_LEVELS") and out.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["constants", "zeta", "3"], NOT_FOR_EXACT | {"logtan.closed_forms"}),
+        (["quad", "x"], NOT_FOR_EXACT | {"logtan.closed_forms"}),
+        (["bogus"], NOT_FOR_EXACT | {"logtan.closed_forms"}),
+        (["exact", "0,1"], NOT_FOR_EXACT),
+    ])
+    def test_request_loads_only_the_modules_it_runs(self, argv, unused):
+        code = ("import sys\n"
+                "from logtan import cli\n"
+                "try:\n"
+                "    cli.main(sys.argv[1:])\n"
+                "except SystemExit:\n"
+                "    pass\n"
+                "print(*sorted(sys.modules))\n")
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True)
+        assert out.returncode == 0
+        loaded = set(out.stdout.splitlines()[-1].split())
+        assert {"logtan.cli", "logtan.core", "logtan.quadrature"} <= loaded
+        assert not loaded & unused
 
     def test_import_leaves_out_mpmath(self):
         code = "import sys, logtan.cli; print('mpmath' in sys.modules)"

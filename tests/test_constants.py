@@ -61,6 +61,13 @@ class TestZetaInt:
                 nv.err_bound, 4e-16 * nv.value
             )
 
+    @pytest.mark.parametrize("s", [10**44, 2**1024 - 2**970, 10**400],
+                             ids=["1e44", "2^1024-2^970", "1e400"])
+    def test_argument_beyond_float_range(self, s):
+        # 2**1024 - 2**970 is the first integer that does not convert to a float.
+        nv = zeta_int(s)
+        assert (nv.value, nv.err_bound) == (1.0, 4e-16)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_even_values_match_bernoulli_form(self, n):
         exact = eval_pi_expr(zeta_even_exact(n)).value
