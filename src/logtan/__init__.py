@@ -26,7 +26,7 @@ _SUBMODULE_NAMES = {
             "format_pi_expr format_zeta_expr parse_pi_expr parse_zeta_expr poly_derivative_at "
             "shifted_legendre shifted_legendre_deriv_at_zero shifted_legendre_rodrigues",
     "projection": "ApproxL LegendreCoeffs approx_L approx_L_direct catalan_series expand "
-                  "legendre_spec legendre_values logtan_expansion_value "
+                  "legendre_values logtan_expansion_value "
                   "logtan_reconstruction_error parseval_defect sqrt_approx_L_exact "
                   "sqrt_legendre_rationals",
     "quadrature": "FunctionSpec QuadratureError QuadratureResult inner_product integrate_logtan "

@@ -25,7 +25,6 @@ from .quadrature import (
     CATALOG_HELP,
     HALF_PI,
     FunctionSpec,
-    _resolve_max_levels,
     integrate_logtan,
     integrate_plain,
 )
@@ -334,11 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.subcommand == "quad" and not (math.isfinite(args.a) and math.isfinite(args.b)):
         print("error: --a and --b must be finite", file=sys.stderr)
-        return 2
-    try:
-        _resolve_max_levels(None)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         report, status = args.handler(args)

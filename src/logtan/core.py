@@ -93,9 +93,6 @@ class PiExpr:
             total += q * pi_value**j
         return total
 
-    def evaluate(self) -> float:
-        return math.fsum(float(q) * math.pi**j for j, q in self._terms.items())
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -21,13 +21,6 @@ from .core import ZetaExpr, shifted_legendre
 from .quadrature import HALF_PI, FunctionSpec, inner_product
 
 
-def legendre_spec(n: int) -> FunctionSpec:
-    """The degree-n shifted Legendre basis element as a quadrature integrand."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    return FunctionSpec.polynomial(shifted_legendre(n))
-
-
 def legendre_values(x: float, n_max: int) -> list[float]:
     """Basis values of degrees ``0..n_max`` at ``x`` via the stable recurrence."""
     u = 4.0 * x / math.pi - 1.0
@@ -57,7 +50,7 @@ def expand(f: FunctionSpec, N: int, tol: float = 1e-12) -> LegendreCoeffs:
     if N < 0:
         raise ValueError("truncation order must be >= 0")
     coeffs = tuple(
-        (2 * n + 1) * inner_product(f, legendre_spec(n), tol).value
+        (2 * n + 1) * inner_product(f, FunctionSpec.polynomial(shifted_legendre(n)), tol).value
         for n in range(N + 1)
     )
     return LegendreCoeffs(coeffs, f, N)
@@ -76,7 +69,7 @@ class ApproxL(NamedTuple):
 
 def _odd_inner_products(f: FunctionSpec, N: int, tol: float) -> dict[int, float]:
     return {
-        j: inner_product(f, legendre_spec(2 * j - 1), tol).value
+        j: inner_product(f, FunctionSpec.polynomial(shifted_legendre(2 * j - 1)), tol).value
         for j in range(1, N + 1)
     }
 

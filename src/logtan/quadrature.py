@@ -14,7 +14,6 @@ means adding one entry.  ``HALF_PI`` is the package's one float ``pi/2``.
 from __future__ import annotations
 
 import math
-import os
 import re
 from typing import Callable, NamedTuple
 
@@ -24,7 +23,6 @@ HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
 
 DEFAULT_MAX_LEVELS = 12
-MAX_LEVELS_ENV = "LOGTAN_MAX_LEVELS"
 
 _T_MAX = 6.1
 
@@ -294,23 +292,6 @@ def _tanh_sinh(g, a: float, b: float, tol: float, max_levels: int):
     return value, est, levels
 
 
-def _resolve_max_levels(max_levels: int | None) -> int:
-    if max_levels is None:
-        raw = os.environ.get(MAX_LEVELS_ENV)
-        if raw is None:
-            return DEFAULT_MAX_LEVELS
-        try:
-            max_levels = int(raw)
-        except ValueError:
-            max_levels = None
-        if max_levels is None or max_levels < 1:
-            raise ValueError(f"{MAX_LEVELS_ENV} must be an integer >= 1, got {raw!r}")
-        return max_levels
-    if max_levels < 1:
-        raise ValueError("max_levels must be >= 1")
-    return max_levels
-
-
 def _check_inputs(a: float, b: float, tol: float) -> None:
     if not (0.0 <= a < b <= HALF_PI + 1e-15):
         raise ValueError(f"need 0 <= a < b <= pi/2, got a={a}, b={b}")
@@ -319,6 +300,8 @@ def _check_inputs(a: float, b: float, tol: float) -> None:
 
 
 def _integrate_split(g, a: float, b: float, tol: float, max_levels: int) -> QuadratureResult:
+    if max_levels < 1:
+        raise ValueError("max_levels must be >= 1")
     if a < QUARTER_PI < b:
         spans = [(a, QUARTER_PI), (QUARTER_PI, b)]
     else:
@@ -340,16 +323,15 @@ def integrate_logtan(
     a: float = 0.0,
     b: float = HALF_PI,
     tol: float = 1e-10,
-    max_levels: int | None = None,
+    max_levels: int = DEFAULT_MAX_LEVELS,
 ) -> QuadratureResult:
     """``integral_a^b f(x) log(tan x) dx`` with the log-tan weight built in."""
     _check_inputs(a, b, tol)
-    levels = _resolve_max_levels(max_levels)
 
     def g(x: float, dist_top: float) -> float:
         return f.value(x, dist_top) * _log_tan(x, dist_top)
 
-    return _integrate_split(g, a, b, tol, levels)
+    return _integrate_split(g, a, b, tol, max_levels)
 
 
 def integrate_plain(
@@ -357,28 +339,25 @@ def integrate_plain(
     a: float = 0.0,
     b: float = HALF_PI,
     tol: float = 1e-10,
-    max_levels: int | None = None,
+    max_levels: int = DEFAULT_MAX_LEVELS,
 ) -> QuadratureResult:
     """``integral_a^b f(x) dx`` on the same node scheme."""
     _check_inputs(a, b, tol)
-    levels = _resolve_max_levels(max_levels)
-    return _integrate_split(f.value, a, b, tol, levels)
+    return _integrate_split(f.value, a, b, tol, max_levels)
 
 
 def inner_product(
     f: FunctionSpec,
     g: FunctionSpec,
     tol: float = 1e-12,
-    max_levels: int | None = None,
+    max_levels: int = DEFAULT_MAX_LEVELS,
 ) -> QuadratureResult:
     """``(2/pi) integral_0^{pi/2} f(x) g(x) dx``."""
-    if tol < 1e-13:
-        raise ValueError("tol must be >= 1e-13")
-    levels = _resolve_max_levels(max_levels)
+    _check_inputs(0.0, HALF_PI, tol)
 
     def product(x: float, dist_top: float) -> float:
         return f.value(x, dist_top) * g.value(x, dist_top)
 
-    res = _integrate_split(product, 0.0, HALF_PI, tol * HALF_PI, levels)
+    res = _integrate_split(product, 0.0, HALF_PI, tol * HALF_PI, max_levels)
     scale = 2.0 / math.pi
     return QuadratureResult(res.value * scale, res.est_error * scale, res.levels_used)

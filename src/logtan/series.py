@@ -144,17 +144,19 @@ def smooth_L_series(f: FunctionSpec, K: int, z: float = 1.0) -> float:
     ``sum_{k=1}^{K} (-1)^(k-1) 2^(1-2k) [f^(2k-1)(0) + f^(2k-1)(pi/2)]
     (1 - 2^-(2k+1)) zeta(2k+1)``; for ``|z| <= 1`` the integrand is ``f(zx)``
     and the bracket is taken at ``0`` and ``pi z/2`` with an extra
-    ``z^(2k-1)``.  Polynomial input goes through ``exact_L``: the value is
-    ``exact_L(P(qx))`` with ``q = Fraction(z)``, cut to its ``zeta(m)``
-    terms with ``m <= 2K+1`` and evaluated once, because the terms are large
-    and alternate.  Other kinds without ``FunctionSpec.derivative`` raise.
+    ``z^(2k-1)``.  Polynomial and monomial input goes through ``exact_L``:
+    the value is ``exact_L(P(qx))`` with ``q = Fraction(z)``, cut to its
+    ``zeta(m)`` terms with ``m <= 2K+1`` and evaluated once, because the
+    terms are large and alternate.  Other kinds without
+    ``FunctionSpec.derivative`` raise.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if not abs(z) <= 1.0:
         raise ValueError("need |z| <= 1")
-    if isinstance(f.param, Polynomial):
-        closed = exact_L(f.param.compose_affine(Fraction(z), 0)).terms
+    poly = Polynomial.monomial(f.param) if f.kind == "monomial" else f.param
+    if isinstance(poly, Polynomial):
+        closed = exact_L(poly.compose_affine(Fraction(z), 0)).terms
         kept = ZetaExpr({m: c for m, c in closed.items() if m <= 2 * K + 1})
         return eval_zeta_expr(kept).value
     if isinstance(f.param, float) and not abs(f.param) < 1.0:

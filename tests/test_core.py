@@ -51,10 +51,6 @@ class TestPiExpr:
         assert two_over_pi * HALF_PI == PiExpr.from_rational(1)
         assert PI * PI == PiExpr.pi_power(2)
 
-    def test_evaluate(self):
-        val = PiExpr({1: Fraction(1, 2), 0: 3}).evaluate()
-        assert abs(val - (math.pi / 2 + 3)) < 1e-15
-
     def test_as_fraction_rejects_pi_terms(self):
         assert PiExpr({0: Fraction(3, 4)}).as_fraction() == Fraction(3, 4)
         with pytest.raises(ValueError):

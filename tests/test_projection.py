@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from logtan.closed_forms import exact_L
-from logtan.constants import catalan, eval_zeta_expr, zeta_int
+from logtan.constants import catalan, eval_pi_expr, eval_zeta_expr, zeta_int
 from logtan.core import Polynomial, shifted_legendre
 from logtan.projection import (
     approx_L,
@@ -14,7 +14,6 @@ from logtan.projection import (
     catalan_series,
     default_sample_grid,
     expand,
-    legendre_spec,
     legendre_values,
     logtan_expansion_value,
     logtan_reconstruction_error,
@@ -53,7 +52,7 @@ class TestExpand:
             assert abs(got.coeffs[n] - target) <= 1e-12
 
     def test_basis_reproduces_itself(self):
-        got = expand(legendre_spec(2), 3)
+        got = expand(FunctionSpec.polynomial(shifted_legendre(2)), 3)
         for n, c in enumerate(got.coeffs):
             target = 1.0 if n == 2 else 0.0
             assert abs(c - target) <= 1e-12
@@ -86,8 +85,8 @@ class TestExpand:
         two_over_pi = PiExpr.pi_power(-1, 2)
         for n in range(degree + 1):
             product = poly * shifted_legendre(n)
-            exact = (product.definite_integral(PiExpr.zero(), HALF_PI)
-                     * two_over_pi * (2 * n + 1)).evaluate()
+            exact = eval_pi_expr(product.definite_integral(PiExpr.zero(), HALF_PI)
+                                 * two_over_pi * (2 * n + 1)).value
             assert abs(got.coeffs[n] - exact) <= 1e-12
 
     def test_pinned_bits_of_sqrt_through_degree_19(self):
@@ -130,13 +129,13 @@ class TestApproxL:
             assert abs(approx_L(f, n).value - target) <= 1e-10
 
     def test_even_basis_element_gives_zero(self):
-        f = legendre_spec(2)
+        f = FunctionSpec.polynomial(shifted_legendre(2))
         for n in (1, 2, 3):
             assert abs(approx_L(f, n).value) <= 1e-12
 
     def test_summation_orders_agree(self):
         for f, n in ((FunctionSpec.sqrt(), 3), (FunctionSpec.polynomial(Polynomial.x()), 2),
-                     (legendre_spec(2), 2)):
+                     (FunctionSpec.polynomial(shifted_legendre(2)), 2)):
             assert abs(approx_L(f, n).value - approx_L_direct(f, n)) <= 1e-12
 
     def test_exact_reproduction_of_closed_form(self):

@@ -1,6 +1,7 @@
 """The tanh-sinh oracle: closed-form targets, interval algebra, failure modes."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -208,21 +209,33 @@ class TestFunctionSpec:
 
 
 class TestEnvOverride:
-    def test_max_levels_env(self):
+    def test_max_levels_variable_changes_nothing(self):
         code = (
-            "import os; os.environ['LOGTAN_MAX_LEVELS'] = '3';"
             "from logtan.quadrature import FunctionSpec, integrate_logtan;"
             "r = integrate_logtan(FunctionSpec.sqrt(), tol=1e-13);"
-            "print(r.levels_used)"
+            "print(r.levels_used, r.value.hex())"
         )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0
-        assert int(out.stdout.strip()) <= 3
+        env = {k: v for k, v in os.environ.items() if k != "LOGTAN_MAX_LEVELS"}
+        unset, set_to_3 = (
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=e)
+            for e in (env, dict(env, LOGTAN_MAX_LEVELS="3"))
+        )
+        assert unset.returncode == set_to_3.returncode == 0
+        assert set_to_3.stdout == unset.stdout
 
     def test_explicit_max_levels_argument(self):
         res = integrate_logtan(FunctionSpec.sqrt(), tol=1e-13, max_levels=2)
         assert res.levels_used == 2
         assert res.est_error > 0.0
+
+    @pytest.mark.parametrize("integrate", [
+        lambda: integrate_logtan(FunctionSpec.sqrt(), max_levels=0),
+        lambda: integrate_plain(FunctionSpec.sqrt(), max_levels=0),
+        lambda: inner_product(FunctionSpec.sqrt(), FunctionSpec.sqrt(), max_levels=0),
+    ], ids=["integrate_logtan", "integrate_plain", "inner_product"])
+    def test_zero_max_levels_is_rejected(self, integrate):
+        with pytest.raises(ValueError, match="max_levels"):
+            integrate()
 
 
 class TestBounds:

@@ -191,6 +191,13 @@ class TestSmoothSeries:
         oracle = integrate_logtan(FunctionSpec.sinh_shift(z), tol=1e-11).value
         assert abs(got - oracle) <= 1e-9
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    @pytest.mark.parametrize("K", [1, 5])
+    @pytest.mark.parametrize("z", [1.0, 0.5])
+    def test_monomial_matches_polynomial(self, n, K, z):
+        got = smooth_L_series(FunctionSpec.monomial(n), K, z)
+        assert got == smooth_L_series(FunctionSpec.polynomial(Polynomial.monomial(n)), K, z)
+
     def test_scaled_argument(self):
         # with |z| < 1 the series covers integrand f(z x)
         z = 0.7
