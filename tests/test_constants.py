@@ -161,8 +161,6 @@ class TestEvalZetaExpr:
         v = eval_pi_expr(PiExpr({1: Fraction(-1, 2)}))
         assert abs(v.value + math.pi / 2) <= 1e-15
         assert eval_pi_expr(PiExpr()).value == 0.0
-        v = eval_pi_expr(PiExpr({1: Fraction(1, 2), 0: 3}))
-        assert abs(v.value - (math.pi / 2 + 3)) < 1e-15
 
     def test_fast_and_guarded_paths_agree(self):
         import random

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from logtan.constants import eval_pi_expr
 from logtan.core import (
     HALF_PI,
     PI,
@@ -50,6 +51,10 @@ class TestPiExpr:
         two_over_pi = PiExpr.pi_power(-1, 2)
         assert two_over_pi * HALF_PI == PiExpr.from_rational(1)
         assert PI * PI == PiExpr.pi_power(2)
+
+    def test_evaluate(self):
+        val = eval_pi_expr(PiExpr({1: Fraction(1, 2), 0: 3})).value
+        assert abs(val - (math.pi / 2 + 3)) < 1e-15
 
     def test_as_fraction_rejects_pi_terms(self):
         assert PiExpr({0: Fraction(3, 4)}).as_fraction() == Fraction(3, 4)
