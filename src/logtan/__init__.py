@@ -14,26 +14,16 @@ from . import core, quadrature  # noqa: F401  (every entry point needs both)
 
 __version__ = "0.1.0"
 
-# The public names, by the submodule that defines them.  A submodule is
-# imported on the first access to one of its names (PEP 562), so a CLI
-# request compiles only the modules it runs.
+# The public names, by the submodule that defines them: what the README and
+# the benchmark read.  Every other function is imported from its submodule.
+# A submodule is imported on the first access to one of its names (PEP 562),
+# so a CLI request compiles only the modules it runs.
 _SUBMODULE_NAMES = {
-    "closed_forms": "MomentResult byerly_coeff cos_lemma euler_integral euler_integral_half "
-                    "euler_translated exact_L legendre_L_coeff moment",
-    "constants": "EULER_GAMMA LOG2 NumericValue catalan digamma eval_pi_expr eval_zeta_expr "
-                 "zeta_even_exact zeta_int",
-    "core": "PiExpr Polynomial ZetaExpr bernoulli bernoulli_table euler_poly euler_poly_scaled "
-            "format_pi_expr format_zeta_expr parse_pi_expr parse_zeta_expr poly_derivative_at "
-            "shifted_legendre shifted_legendre_deriv_at_zero shifted_legendre_rodrigues",
-    "projection": "ApproxL LegendreCoeffs approx_L approx_L_direct catalan_series expand "
-                  "legendre_values logtan_expansion_value "
-                  "logtan_reconstruction_error parseval_defect sqrt_approx_L_exact "
-                  "sqrt_legendre_rationals",
-    "quadrature": "FunctionSpec QuadratureError QuadratureResult inner_product integrate_logtan "
-                  "integrate_plain",
-    "series": "SeriesPartialSum bradley_primitive cos_integral_F euler_zeta3_series "
-              "exp_integral_series logtan_power_series partial_sum_S sinh_identity_check "
-              "smooth_L_series",
+    "closed_forms": "euler_integral exact_L legendre_L_coeff",
+    "constants": "NumericValue eval_zeta_expr zeta_int",
+    "core": "Polynomial euler_poly_scaled format_zeta_expr parse_zeta_expr shifted_legendre",
+    "projection": "approx_L approx_L_direct expand sqrt_legendre_rationals",
+    "quadrature": "FunctionSpec integrate_logtan",
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items()
               for name in names.split()}

@@ -244,6 +244,8 @@ def cmd_constants(args) -> tuple[Report, int]:
         nv = zeta_int(s)
         inputs = {"name": f"zeta({s})"}
     elif name == "catalan":
+        if args.value is not None:
+            raise UsageError(f"constants catalan takes no argument, got {args.value!r}")
         nv = catalan()
         inputs = {"name": "catalan"}
     elif name == "digamma":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import NamedTuple
 
 from .core import (
     HALF_PI,
@@ -50,14 +49,7 @@ def exact_L(P: Polynomial) -> ZetaExpr:
     return ZetaExpr(terms)
 
 
-class MomentResult(NamedTuple):
-    """Exact value of the n-th monomial moment against log tan."""
-
-    value: ZetaExpr
-    degree: int
-
-
-def moment(n: int) -> MomentResult:
+def moment(n: int) -> ZetaExpr:
     """Closed form of ``integral_0^{pi/2} x**n log(tan x) dx`` for ``n >= 1``.
 
     Odd ``n`` contributes a pure ``zeta(n+2)`` term with sign
@@ -81,7 +73,7 @@ def moment(n: int) -> MomentResult:
         m = 2 * k + 1
         extra = PiExpr({n - 2 * k + 1: q})
         terms[m] = terms[m] + extra if m in terms else extra
-    return MomentResult(ZetaExpr(terms), n)
+    return ZetaExpr(terms)
 
 
 def euler_integral(n: int, parity: str) -> ZetaExpr:

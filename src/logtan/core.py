@@ -86,11 +86,11 @@ class PiExpr:
             raise ValueError(f"not a rational value: {self!r}")
         return self._terms.get(0, Fraction(0))
 
-    def to_fraction(self, pi_value: Fraction = PI_FRACTION) -> Fraction:
-        """Collapse to a single Fraction using a rational stand-in for pi."""
+    def to_fraction(self) -> Fraction:
+        """Collapse to a single Fraction with ``PI_FRACTION`` standing in for pi."""
         total = Fraction(0)
         for j, q in self._terms.items():
-            total += q * pi_value**j
+            total += q * PI_FRACTION**j
         return total
 
     def __bool__(self) -> bool:
@@ -209,10 +209,10 @@ class Polynomial:
         return cls([0, 1])
 
     @classmethod
-    def monomial(cls, n: int, coeff=1) -> "Polynomial":
+    def monomial(cls, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("monomial degree must be >= 0")
-        return cls([0] * n + [coeff])
+        return cls([0] * n + [1])
 
     @classmethod
     def from_rationals(cls, coeffs: Iterable[RationalLike]) -> "Polynomial":
@@ -297,36 +297,44 @@ class Polynomial:
         """Value at a float, rounded once from the exact value of the
         polynomial with its coefficients folded with ``PI_FRACTION``.
 
-        Fast path: a finite float ``x = m / 2**s`` runs through integer
-        Horner over the coefficients rounded to units of ``2**-256``,
-        ``acc = (acc*m >> s) + C_k``.  Each step errs by at most 1 unit for
-        the floor and 1/2 for the coefficient, so the exact value lies within
-        ``1.5 * sum_{j<=n} |x|**j <= 1.5 * (n+1) * 2**(e*n)`` units of ``acc``
-        for ``|x| < 2**e`` (Higham, ch. 5); that bound ``B`` is an integer.
-        When ``acc - B`` and ``acc + B`` round to the same double, so does
-        everything between them, and that double is returned (Ziv's rounding
-        test).  Fallback: otherwise, and for any other input, exact rational
-        Horner decides.  The result, or the exception, is therefore bit for
-        bit that of ``float(sum(c.to_fraction() * Fraction(x)**k))``.  The
-        fixed-point table is built on first use and the rational one on first
-        fallback; both are kept on the polynomial.
+        Fast path: with ``c_v`` the lowest nonzero coefficient, a finite float
+        ``x = m / 2**s`` runs through integer Horner over ``c_v .. c_n``
+        rounded to units of ``2**-256``, ``acc = (acc*m >> s) + C_k``.  Each
+        step errs by at most 1 unit for the floor and 1/2 for the coefficient,
+        so ``sum_k c_k x**(k-v)`` lies within ``1.5 * (n-v+1) * 2**(e*(n-v))``
+        units of ``acc`` for ``|x| < 2**e`` (Higham, ch. 5); that bound ``B``
+        is an integer.  As ``x**v = m**v / 2**(s*v)`` exactly, the value lies
+        between ``(acc -+ B) * m**v / 2**(256 + s*v)``.  When both ends round
+        to the same double with the same sign, so does everything between
+        them, and that double is returned (Ziv's rounding test); factoring out
+        ``x**v`` keeps the test decisive at tiny ``x`` when ``P(0) = 0``.
+        Fallback: otherwise, and for any other input, exact rational Horner
+        decides.  The result, or the exception, is therefore bit for bit that
+        of ``float(sum(c.to_fraction() * Fraction(x)**k))``.  The fixed-point
+        table is built on first use and the rational one on first fallback;
+        both are kept on the polynomial.
         """
         if self._fixed is None:
-            self._fixed = tuple(
-                round(c.to_fraction() * _FIXED_ONE) for c in reversed(self._coeffs)
-            )
+            folded = [c.to_fraction() for c in self._coeffs]
+            v = next((k for k, c in enumerate(folded) if c), 0)
+            self._fixed = v, tuple(round(c * _FIXED_ONE) for c in reversed(folded[v:]))
+        v, table = self._fixed
         if isinstance(x, float) and math.isfinite(x):
             m, d = x.as_integer_ratio()
             s = d.bit_length() - 1
             acc = 0
-            for c in self._fixed:
+            for c in table:
                 acc = ((acc * m) >> s) + c
-            n = len(self._fixed) - 1
+            n = len(table) - 1
             e = max(abs(m).bit_length() - s, 0)
             bound = ((3 * n + 5) // 2) << (e * n)
+            lo, hi, unit = acc - bound, acc + bound, _FIXED_ONE
+            if v:
+                scale = m**v
+                lo, hi, unit = lo * scale, hi * scale, unit << (s * v)
             try:
-                lo = (acc - bound) / _FIXED_ONE
-                if lo == (acc + bound) / _FIXED_ONE:
+                lo, hi = lo / unit, hi / unit
+                if lo == hi and (lo or math.copysign(1.0, lo) == math.copysign(1.0, hi)):
                     return lo
             except OverflowError:
                 pass

@@ -36,12 +36,10 @@ class LegendreCoeffs(NamedTuple):
     """Truncated expansion coefficients ``c_n = (2n+1) <f, P~_n>``."""
 
     coeffs: tuple[float, ...]
-    source: FunctionSpec
-    N: int
 
     def evaluate(self, x: float) -> float:
         """Value of the truncated expansion at ``x``."""
-        vals = legendre_values(x, self.N)
+        vals = legendre_values(x, len(self.coeffs) - 1)
         return math.fsum(c * v for c, v in zip(self.coeffs, vals))
 
 
@@ -53,7 +51,7 @@ def expand(f: FunctionSpec, N: int, tol: float = 1e-12) -> LegendreCoeffs:
         (2 * n + 1) * inner_product(f, FunctionSpec.polynomial(shifted_legendre(n)), tol).value
         for n in range(N + 1)
     )
-    return LegendreCoeffs(coeffs, f, N)
+    return LegendreCoeffs(coeffs)
 
 
 class ApproxL(NamedTuple):
@@ -62,7 +60,6 @@ class ApproxL(NamedTuple):
     ``value = sum_k c_table[(N,k)] * (-1)^(k-1) pi^-(2k-1) (1-2^-(2k+1)) zeta(2k+1)``.
     """
 
-    N: int
     c_table: dict[tuple[int, int], float]
     value: float
 
@@ -100,7 +97,7 @@ def approx_L(f: FunctionSpec, N: int, tol: float = 1e-13) -> ApproxL:
         * zeta_int(2 * k + 1).value
         for k in range(1, N + 1)
     )
-    return ApproxL(N, c_table, value)
+    return ApproxL(c_table, value)
 
 
 def approx_L_direct(f: FunctionSpec, N: int, tol: float = 1e-13) -> float:
@@ -152,13 +149,11 @@ def catalan_series(N: int) -> float:
     return eval_zeta_expr(total).value
 
 
-def default_sample_grid(count: int = 41) -> list[float]:
-    """Equispaced interior points on ``[0.2, pi/2 - 0.2]``."""
+def default_sample_grid() -> list[float]:
+    """41 equispaced interior points on ``[0.2, pi/2 - 0.2]``."""
     lo, hi = 0.2, HALF_PI - 0.2
-    if count == 1:
-        return [0.5 * (lo + hi)]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / 40
+    return [lo + i * step for i in range(41)]
 
 
 def logtan_expansion_value(x: float, N: int) -> float:

@@ -32,11 +32,16 @@ class QuadratureError(ArithmeticError):
 
 
 class QuadratureResult(NamedTuple):
-    """Integral estimate; est_error is the difference of the last two levels."""
+    """Integral estimate; est_error is the difference of the last two levels.
+
+    ``converged`` is False when the levels ran out before the tolerance test
+    passed, so ``est_error`` may exceed the tolerance asked for.
+    """
 
     value: float
     est_error: float
     levels_used: int
+    converged: bool
 
 
 class FunctionSpec:
@@ -248,7 +253,7 @@ def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
 
 
 def _tanh_sinh(g, a: float, b: float, tol: float, max_levels: int):
-    """Integrate ``g(x, dist_top)`` over (a, b); returns (value, est, levels)."""
+    """Integrate ``g(x, dist_top)`` over (a, b); returns (value, est, levels, converged)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     top_a = HALF_PI - a
@@ -288,8 +293,8 @@ def _tanh_sinh(g, a: float, b: float, tol: float, max_levels: int):
         value = new_value
         levels = level + 1
         if est <= tol or est <= 5e-16 * abs(value):
-            break
-    return value, est, levels
+            return value, est, levels, True
+    return value, est, levels, False
 
 
 def _check_inputs(a: float, b: float, tol: float) -> None:
@@ -309,13 +314,15 @@ def _integrate_split(g, a: float, b: float, tol: float, max_levels: int) -> Quad
     total = 0.0
     est = 0.0
     levels = 0
+    converged = True
     piece_tol = tol / len(spans)
     for lo, hi in spans:
-        v, e, lv = _tanh_sinh(g, lo, hi, piece_tol, max_levels)
+        v, e, lv, ok = _tanh_sinh(g, lo, hi, piece_tol, max_levels)
         total += v
         est += e
         levels = max(levels, lv)
-    return QuadratureResult(total, est, levels)
+        converged = converged and ok
+    return QuadratureResult(total, est, levels, converged)
 
 
 def integrate_logtan(
@@ -360,4 +367,4 @@ def inner_product(
 
     res = _integrate_split(product, 0.0, HALF_PI, tol * HALF_PI, max_levels)
     scale = 2.0 / math.pi
-    return QuadratureResult(res.value * scale, res.est_error * scale, res.levels_used)
+    return res._replace(value=res.value * scale, est_error=res.est_error * scale)

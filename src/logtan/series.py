@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .closed_forms import exact_L
 from .constants import digamma, eval_zeta_expr, zeta_int
 from .core import Polynomial, ZetaExpr
-from .quadrature import HALF_PI, FunctionSpec
+from .quadrature import HALF_PI, FunctionSpec, integrate_logtan
 
 
 def bradley_primitive(x: float, N: int) -> float:
@@ -86,8 +86,6 @@ def sinh_identity_check(z: float, N: int, tol: float = 1e-12) -> tuple[float, fl
     lhs is ``integral sinh(2xz - pi z/2) log tan``; rhs is
     ``2 cosh(pi z/2)`` times the alternating odd-zeta series.
     """
-    from .quadrature import integrate_logtan
-
     z = _require_unit_disc(z)
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -119,7 +117,6 @@ def cos_integral_F(z: float) -> float:
 class SeriesPartialSum(NamedTuple):
     """A truncated series value; the last term is a truncation heuristic."""
 
-    N: int
     value: float
     last_term: float
 
@@ -134,7 +131,7 @@ def partial_sum_S(z: float, N: int) -> SeriesPartialSum:
         raise ValueError("N must be >= 1")
     value = _odd_zeta_tail_sum(z, N, alternating=False)
     last = (1.0 - 2.0 ** -(2 * N + 1)) * zeta_int(2 * N + 1).value * z ** (2 * N - 1)
-    return SeriesPartialSum(N, value, last)
+    return SeriesPartialSum(value, last)
 
 
 def smooth_L_series(f: FunctionSpec, K: int, z: float = 1.0) -> float:

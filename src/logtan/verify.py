@@ -57,7 +57,7 @@ def _suite_exact(tol: float) -> list[CheckRow]:
                          oracle, cn.eval_zeta_expr(cf.exact_L(x)).value, 1e-9))
     rows.append(_bool_row(
         "moment(n) = L(x^n) structurally, n<=8",
-        all(cf.moment(n).value == cf.exact_L(Polynomial.monomial(n)) for n in range(1, 9)),
+        all(cf.moment(n) == cf.exact_L(Polynomial.monomial(n)) for n in range(1, 9)),
     ))
     rows.append(_bool_row(
         "odd Euler integrals match, n<=4",

@@ -100,7 +100,7 @@ def test_criterion_04_triple_consistency():
         for n in range(1, 6)
     )
     moment_ok = all(
-        moment(n).value == exact_L(Polynomial.monomial(n)) for n in range(1, 13)
+        moment(n) == exact_L(Polynomial.monomial(n)) for n in range(1, 13)
     )
     ok = euler_ok and moment_ok
     assert _report(4, ok, f"Euler n=1..5 {euler_ok}; moments n=1..12 {moment_ok}")

@@ -158,6 +158,11 @@ class TestConstantsCommand:
         payload = json.loads(out.stdout)
         assert abs(payload["numeric"]["value"] - 0.915965594177219) <= 1e-12
 
+    def test_catalan_rejects_an_argument(self):
+        out = run_cli("constants", "catalan", "5")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+
     def test_digamma(self):
         out = run_cli("constants", "digamma", "0.5", "--format", "json")
         payload = json.loads(out.stdout)

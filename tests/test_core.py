@@ -199,9 +199,9 @@ class TestEvaluateFloatBits:
             assert _exact_evaluator(p)(root) == 0.0
             assert p.evaluate_float(root) == 0.0
 
-    def test_even_euler_at_tiny_x_takes_the_exact_fallback(self, monkeypatch):
+    def test_even_euler_at_tiny_x_needs_no_fallback(self, monkeypatch):
         # E_n(0) = 0 for even n >= 2, so the value at tiny x is far below the
-        # fixed-point resolution and the rounding test must fail.
+        # fixed-point resolution; factoring out x**v keeps the test decisive.
         calls = []
         exact = Polynomial._evaluate_exact
         monkeypatch.setattr(Polynomial, "_evaluate_exact",
@@ -209,10 +209,14 @@ class TestEvaluateFloatBits:
         p = euler_poly_scaled(8)
         for x in (5e-324, 1e-300, 1e-70):
             assert p.evaluate_float(x) == _exact_evaluator(p)(x)
-        assert calls == [5e-324, 1e-300, 1e-70]
-        calls.clear()
         assert shifted_legendre(24).evaluate_float(0.3) == _exact_evaluator(shifted_legendre(24))(0.3)
         assert calls == []
+        # 11 * 818836295885545 is odd with 54 bits, so 11/5 * x is exactly
+        # halfway between two doubles: no bracket decides it.
+        tie = Polynomial.from_rationals([0, Fraction(11, 5)])
+        x = math.ldexp(5 * 818836295885545, -860)
+        assert tie.evaluate_float(x) == _exact_evaluator(tie)(x)
+        assert calls == [x]
 
 
 class TestBernoulli:

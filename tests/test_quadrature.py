@@ -94,8 +94,8 @@ class TestIntegrateLogtan:
     # fixed-point sampling of polynomials; any change to the sampled
     # arithmetic changes them.
     @pytest.mark.parametrize("n, expected", [
-        (9, QuadratureResult(0.034906572543494746, 2.185751579730777e-16, 5)),
-        (24, QuadratureResult(-4.605690828718423e-16, 5.637851296924623e-17, 6)),
+        (9, QuadratureResult(0.034906572543494746, 2.185751579730777e-16, 5, True)),
+        (24, QuadratureResult(-4.605690828718423e-16, 5.637851296924623e-17, 6, True)),
     ])
     def test_pinned_bits_of_legendre_basis(self, n, expected):
         assert integrate_logtan(FunctionSpec.polynomial(shifted_legendre(n))) == expected
@@ -227,6 +227,8 @@ class TestEnvOverride:
         res = integrate_logtan(FunctionSpec.sqrt(), tol=1e-13, max_levels=2)
         assert res.levels_used == 2
         assert res.est_error > 0.0
+        assert res.converged is False
+        assert integrate_logtan(FunctionSpec.sqrt(), tol=1e-13).converged is True
 
     @pytest.mark.parametrize("integrate", [
         lambda: integrate_logtan(FunctionSpec.sqrt(), max_levels=0),

@@ -129,7 +129,6 @@ class TestPartialSumS:
 
     def test_structure(self):
         s = partial_sum_S(0.5, 30)
-        assert s.N == 30
         assert abs(s.last_term) < 1e-17
 
 
