@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple
 
 from .closed_forms import byerly_coeff, legendre_L_coeff
@@ -185,22 +185,20 @@ def logtan_reconstruction_error(N: int, sample_points: list[float] | None = None
 
 
 # ---------------------------------------------------------------------------
-# Exact route for the square-root integrand.  With P~_n written through its
-# explicit coefficients, <sqrt(x), x**k> = (pi/2)**k sqrt(pi/2) * 2/(2k+3),
-# so every inner product is a rational multiple of sqrt(pi/2).
+# Exact route for the square-root integrand.  The Legendre moment formula
+# int_0^1 u^a P_n(2u-1) du = prod_{k<n} (a-k) / prod_{k<=n} (a+k+1) at a = 1/2
+# makes every inner product a rational multiple of sqrt(pi/2).
 
 
 def sqrt_legendre_rationals(n_max: int) -> list[Fraction]:
-    """Rationals ``r_n`` with ``<sqrt, P~_n> = r_n * sqrt(pi/2)``, n = 0..n_max."""
-    out = []
-    for n in range(n_max + 1):
-        out.append(
-            sum(
-                Fraction((-1) ** (n + k) * comb(n, k) * comb(n + k, k) * 2, 2 * k + 3)
-                for k in range(n + 1)
-            )
-        )
-    return out
+    """Rationals ``r_n`` with ``<sqrt, P~_n> = r_n * sqrt(pi/2)``, n = 0..n_max.
+
+    ``r_0 = 2/3`` and ``r_{n+1} = r_n (1/2 - n) / (n + 5/2)``.
+    """
+    out = [Fraction(2, 3)]
+    for n in range(n_max):
+        out.append(out[-1] * Fraction(1 - 2 * n, 2 * n + 5))
+    return out[: n_max + 1]
 
 
 def sqrt_approx_L_exact(N: int) -> tuple[dict[int, Fraction], float]:

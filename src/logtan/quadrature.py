@@ -271,9 +271,10 @@ def _tanh_sinh(g, a: float, b: float, tol: float, max_levels: int):
     parts = [HALF_PI * sample(mid, HALF_PI - mid)]
     for d, w in _level_nodes(0):
         delta = half * d
-        parts.append(
-            w * (sample(a + delta, top_a - delta) + sample(b - delta, top_b + delta))
-        )
+        if delta:  # 0.0 on an interval so short that the offset underflows
+            parts.append(
+                w * (sample(a + delta, top_a - delta) + sample(b - delta, top_b + delta))
+            )
     raw = math.fsum(parts)  # plain sum of weighted samples, all levels so far
     value = half * raw
     est = math.inf
@@ -284,9 +285,10 @@ def _tanh_sinh(g, a: float, b: float, tol: float, max_levels: int):
         parts = []
         for d, w in _level_nodes(level):
             delta = half * d
-            parts.append(
-                w * (sample(a + delta, top_a - delta) + sample(b - delta, top_b + delta))
-            )
+            if delta:
+                parts.append(
+                    w * (sample(a + delta, top_a - delta) + sample(b - delta, top_b + delta))
+                )
         raw += math.fsum(parts)
         new_value = half * h * raw
         est = abs(new_value - value)

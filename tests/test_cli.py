@@ -127,6 +127,12 @@ class TestQuadCommand:
         payload = json.loads(out.stdout)
         assert abs(payload["numeric"]["value"] + 0.915965594177219) <= 1e-9
 
+    def test_interval_too_short_for_its_node_offsets(self):
+        out = run_cli("quad", "logtan", "--a", "0", "--b", "1e-300", "--format", "json")
+        assert out.returncode == 0, out.stderr
+        numeric = json.loads(out.stdout)["numeric"]
+        assert math.isfinite(numeric["value"]) and math.isfinite(numeric["err_bound"])
+
     def test_tol_floor(self):
         out = run_cli("quad", "x", "--tol", "1e-14")
         assert out.returncode == 2
@@ -285,7 +291,53 @@ class TestEnvironment:
         assert not loaded & unused
 
     def test_import_leaves_out_mpmath(self):
-        code = "import sys, logtan.cli; print('mpmath' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0
-        assert out.stdout.strip() == "False"
+        # Every subcommand, run through cli.main with `import mpmath` made to
+        # fail, prints what it prints with mpmath importable, and no request
+        # imports mpmath.  The last stderr line is the exit status, the number
+        # of guarded zeta sums and whether mpmath was loaded.
+        code = ("import sys\n"
+                "class Block:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name.partition('.')[0] == 'mpmath':\n"
+                "            raise ImportError('mpmath is blocked')\n"
+                "if sys.argv[1] == 'block':\n"
+                "    sys.meta_path.insert(0, Block())\n"
+                "from logtan import cli, constants\n"
+                "guarded = constants._eval_zeta_expr_guarded\n"
+                "calls = []\n"
+                "def counted(e):\n"
+                "    calls.append(e)\n"
+                "    return guarded(e)\n"
+                "constants._eval_zeta_expr_guarded = counted\n"
+                "try:\n"
+                "    status = cli.main(sys.argv[2:])\n"
+                "except SystemExit as exc:\n"
+                "    status = exc.code\n"
+                "print(status, len(calls), 'mpmath' in sys.modules, file=sys.stderr)\n")
+        requests = [
+            (["exact", "0,1"], False),
+            # E_6(x) = x^6 - 3x^5 + 5x^3 - 3x: its zeta terms cancel.
+            (["exact", "0,-3,0,5,0,-3,1", "--format", "json"], True),
+            (["exact", "1,2", "--var", "scaled", "--format", "csv"], False),
+            (["project", "sqrt", "--terms", "5"], False),
+            (["quad", "sqrt", "--format", "json"], False),
+            (["constants", "zeta", "3"], False),
+            (["constants", "catalan"], False),
+            (["constants", "digamma", "0.5"], False),
+            # catalan_series sums odd zeta values that cancel.
+            (["verify", "all"], True),
+            (["verify", "all", "--format", "json"], True),
+            (["bogus"], False),
+        ]
+        for argv, guarded in requests:
+            runs = {}
+            for mode in ("block", "allow"):
+                out = subprocess.run([sys.executable, "-c", code, mode, *argv],
+                                     capture_output=True, text=True)
+                assert out.returncode == 0, out.stderr
+                status, calls, loaded = out.stderr.splitlines()[-1].split()
+                assert loaded == "False", (argv, mode)
+                assert (int(calls) > 0) == guarded, argv
+                runs[mode] = (status, out.stdout)
+            assert runs["block"] == runs["allow"], argv
+            assert runs["block"][0] == ("2" if argv == ["bogus"] else "0"), argv

@@ -1,11 +1,13 @@
 """Numeric constants layer: zeta, Catalan, digamma, expression evaluation."""
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from logtan.closed_forms import legendre_L_coeff
+from logtan.closed_forms import exact_L, legendre_L_coeff
 from logtan.constants import (
     EULER_GAMMA,
     LOG2,
@@ -16,8 +18,13 @@ from logtan.constants import (
     zeta_even_exact,
     zeta_int,
 )
-from logtan.constants import _zeta_euler_maclaurin
-from logtan.core import PiExpr, ZetaExpr
+from logtan.constants import (
+    _borwein_d,
+    _eval_zeta_expr_guarded,
+    _pi_fixed,
+    _zeta_fixed,
+)
+from logtan.core import PiExpr, ZetaExpr, euler_poly
 from logtan.quadrature import FunctionSpec, integrate_logtan
 
 ZETA3 = 1.2020569031595942854
@@ -48,18 +55,25 @@ class TestZetaInt:
         assert zeta_int(15).value - 1.0 < 1e-4
 
     def test_stable_under_doubled_cutoff(self):
+        # Doubling the working precision does not move the rounded double.
         for s in (2, 3, 5, 9):
-            a = _zeta_euler_maclaurin(s, n_direct=64).value
-            b = _zeta_euler_maclaurin(s, n_direct=128).value
-            assert abs(a - b) <= 1e-15 * abs(a)
+            doubles = {z / 2**bits for bits in (128, 256) for z, _ in [_zeta_fixed(s, bits)]}
+            with mpmath.workdps(50):
+                assert doubles == {zeta_int(s).value} == {float(mpmath.zeta(s))}
 
     def test_err_bound_honest(self):
         for s in (2, 3, 7):
             nv = zeta_int(s)
             assert nv.err_bound >= 0.0
-            assert abs(nv.value - _zeta_euler_maclaurin(s, n_direct=256).value) <= max(
-                nv.err_bound, 4e-16 * nv.value
-            )
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(nv.value) - mpmath.zeta(s)) <= nv.err_bound
+
+    def test_correctly_rounded_with_the_stated_bound(self):
+        with mpmath.workdps(50):
+            for s in range(2, 482):
+                nv = zeta_int(s)
+                assert nv.value == float(mpmath.zeta(s)), s
+                assert nv.err_bound == 4e-16 * nv.value, s
 
     @pytest.mark.parametrize("s", [10**44, 2**1024 - 2**970, 10**400],
                              ids=["1e44", "2^1024-2^970", "1e400"])
@@ -72,6 +86,79 @@ class TestZetaInt:
     def test_even_values_match_bernoulli_form(self, n):
         exact = eval_pi_expr(zeta_even_exact(n)).value
         assert abs(zeta_int(2 * n).value - exact) <= 1e-14 * exact
+
+
+class TestCertifiedFixedPoint:
+    """Integer fixed point: z stands for (z - err, z + err) / 2**bits."""
+
+    @staticmethod
+    def assert_encloses(z, err, bits, exact):
+        assert err >= 0
+        assert abs(mpmath.mpf(z) / mpmath.mpf(2) ** bits - exact) <= mpmath.mpf(err) / 2**bits
+
+    def test_borwein_d_from_its_defining_sum(self):
+        for n in (1, 2, 5, 27, 60):
+            d = _borwein_d(n)
+            for k in range(n + 1):
+                total = n * sum(Fraction(math.factorial(n + i - 1) * 4**i,
+                                         math.factorial(n - i) * math.factorial(2 * i))
+                                for i in range(k + 1))
+                assert d[k] == total
+
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    def test_zeta_within_its_stated_error(self, bits):
+        # At least 100 digits, and 20 more than the working precision.
+        with mpmath.workdps(max(100, int(bits * 0.302) + 20)):
+            for s in range(2, 201):
+                z, err = _zeta_fixed(s, bits)
+                self.assert_encloses(z, err, bits, mpmath.zeta(s))
+
+    @pytest.mark.parametrize("s", [10**6, 10**400])
+    def test_zeta_of_huge_argument(self, s):
+        assert _zeta_fixed(s, 64) == (1 << 64, 1)
+
+    @pytest.mark.parametrize("bits", [1, 20, 64, 128, 512, 2048])
+    def test_machin_pi_within_its_stated_error(self, bits):
+        with mpmath.workdps(max(100, int(bits * 0.302) + 20)):
+            self.assert_encloses(*_pi_fixed(bits), bits, mpmath.pi)
+
+    @staticmethod
+    def reference(e, dps=80):
+        with mpmath.workdps(dps):
+            return sum(mpmath.mpf(q.numerator) / q.denominator * mpmath.pi**j * mpmath.zeta(m)
+                       for m in e.arguments() for j, q in e.coefficient(m).terms.items())
+
+    def assert_guarded_within_bound(self, e):
+        got = _eval_zeta_expr_guarded(e)
+        ref = self.reference(e)
+        with mpmath.workdps(80):
+            assert abs(mpmath.mpf(got.value) - ref) <= got.err_bound
+        # Correctly rounded: the 80-digit sum rounds to the same double.
+        assert got.value == float(ref)
+
+    @pytest.mark.parametrize("n", [10, 20, 40, 60])
+    def test_guarded_euler_sums(self, n):
+        e = exact_L(euler_poly(n))
+        self.assert_guarded_within_bound(e)
+
+    def test_guarded_random_ill_conditioned_sums(self):
+        # Large coefficients of both signs and pi powers of both signs, so the
+        # terms cancel by many orders of magnitude.
+        rng = random.Random(2013)
+        for _ in range(40):
+            terms = {}
+            for m in rng.sample(range(3, 40, 2), rng.randint(2, 6)):
+                terms[m] = PiExpr({rng.randint(-12, 12): Fraction(
+                    rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 30)),
+                    rng.randint(1, 10**6))})
+            e = ZetaExpr(terms)
+            # Cancel the leading 15 or 45 digits, so that the value is far
+            # below the terms and the starting precision does not suffice.
+            digits = rng.choice((15, 45))
+            with mpmath.workdps(digits + 10):
+                ratio = mpmath.nstr(self.reference(e, digits + 10) / mpmath.zeta(3), digits)
+            e = e - ZetaExpr({3: Fraction(ratio)})
+            self.assert_guarded_within_bound(e)
 
 
 class TestZetaEvenExact:

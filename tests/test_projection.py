@@ -162,6 +162,15 @@ class TestSqrtExactRoute:
             Fraction(2, 315), Fraction(-2, 693), Fraction(2, 1287),
         ]
 
+    def test_recurrence_matches_the_alternating_double_sum(self):
+        # <sqrt, P~_n> from the explicit coefficients of P~_n, term by term.
+        reference = [
+            sum(Fraction((-1) ** (n + k) * math.comb(n, k) * math.comb(n + k, k) * 2, 2 * k + 3)
+                for k in range(n + 1))
+            for n in range(201)
+        ]
+        assert sqrt_legendre_rationals(200) == reference
+
     def test_matches_numeric_route(self):
         _, value = sqrt_approx_L_exact(4)
         assert abs(value - approx_L(FunctionSpec.sqrt(), 4).value) <= 1e-10

@@ -116,6 +116,14 @@ class TestIntegratePlain:
         target = 7 / 16 * ZETA3 - math.pi**2 / 8 * math.log(2)
         assert abs(res.value - target) <= 1e-9
 
+    def test_interval_too_short_for_its_node_offsets(self):
+        # half * d underflows to 0.0 for the outer nodes; sampling them would
+        # put x on a = 0, where log(tan x) is undefined.
+        b = 1e-300
+        res = integrate_plain(FunctionSpec.logtan_power(1), 0.0, b)
+        assert res.converged
+        assert abs(res.value - b * (math.log(b) - 1.0)) <= res.est_error
+
 
 class TestInnerProduct:
     def test_unit_norm(self):
