@@ -1,17 +1,16 @@
 """Floating-point evaluation: zeta values, Catalan's constant, digamma.
 
-Also numerically evaluates the exact expression types.  Results are native
-doubles with an a-priori truncation bound attached.  Zeta values come from
-P. Borwein's series in integer fixed point, correctly rounded; ill-conditioned
-exact expressions (alternating sums with huge factorial terms) are summed in
-integer interval arithmetic, so the returned double is fully accurate.
+Results are native doubles with an error bound attached.  Every exact value
+(zeta(s), Catalan's constant, a PiExpr or a ZetaExpr) is summed in integer
+interval arithmetic, from P. Borwein's alternating series and Machin's
+formula for pi, and correctly rounded, so its bound is half an ulp.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import PiExpr, ZetaExpr, bernoulli
 
@@ -35,9 +34,8 @@ _ZETA_MEMO: dict[int, NumericValue] = {}
 def zeta_int(s: int) -> NumericValue:
     """``zeta(s)`` for integer ``s >= 2``, correctly rounded to a double.
 
-    The certified fixed-point value of :func:`_zeta_fixed` at 64 bits, with
-    the precision doubled until both ends of its interval round to the same
-    double (Ziv's test).  The reported bound is ``4e-16 * value``.
+    The certified fixed-point value of :func:`_zeta_fixed`, rounded by
+    :func:`_correctly_rounded`; the bound is half an ulp of the value.
     """
     if not isinstance(s, int):
         raise TypeError("zeta_int takes an integer argument")
@@ -45,16 +43,24 @@ def zeta_int(s: int) -> NumericValue:
         raise ValueError("zeta_int requires s >= 2")
     hit = _ZETA_MEMO.get(s)
     if hit is None:
-        bits = 64
-        while True:
-            z, err = _zeta_fixed(s, bits)
-            value = (z - err) / (1 << bits)
-            if value == (z + err) / (1 << bits):
-                break
-            bits *= 2
-        hit = NumericValue(value, 4e-16 * value)
+        hit = _correctly_rounded(lambda bits: (*_zeta_fixed(s, bits), 1 << bits), 64)
         _ZETA_MEMO[s] = hit
     return hit
+
+
+def _correctly_rounded(interval: Callable[[int], tuple[int, int, int]], bits: int) -> NumericValue:
+    """The correctly rounded double of a value enclosed by ``interval(bits)``.
+
+    ``interval(bits)`` gives ``(mid, rad, scale)``, the value lying in
+    ``(mid -+ rad) / scale``; bits double until both ends round alike (Ziv's
+    test).  The bound is half an ulp, or the least double where that is less.
+    """
+    while True:
+        mid, rad, scale = interval(bits)
+        value = _to_float(mid - rad, scale)
+        if value == _to_float(mid + rad, scale):
+            return NumericValue(value, max(0.5 * math.ulp(value), math.ulp(0.0)))
+        bits *= 2
 
 
 # Fixed point: an integer z with error bound err stands for the interval
@@ -80,34 +86,39 @@ def _borwein_d(n: int) -> list[int]:
     return hit
 
 
-def _zeta_fixed(s: int, bits: int) -> tuple[int, int]:
-    """``zeta(s) * 2**bits`` within 7, by P. Borwein's alternating series.
+def _alternating_fixed(s: int, bits: int, step: int) -> tuple[int, int]:
+    """``sum_k (-1)^k / (step*k + 1)**s * 2**bits`` within 3, by Borwein's series.
 
-    With n terms, ``(1 - 2**(1-s)) zeta(s) = sum_{k<n} (-1)^k (d_n - d_k)
-    / (d_n (k+1)^s)`` up to ``3 / (3 + sqrt 8)^n`` (Borwein 2000, Alg. 2);
-    n is chosen so that this is at most one unit.  Each floored term errs by
-    less than one unit before the division by d_n, the dropped tail of the
-    alternating, decreasing sum by less than one; so the eta value errs by
-    less than 3 units and zeta, after the factor ``2**(s-1) / (2**(s-1) - 1)
-    <= 2`` and one more floor, by less than 7.
+    Step 1 gives ``eta(s) = (1 - 2**(1-s)) zeta(s)``, step 2 Dirichlet's
+    ``beta(s)``.  For terms ``a_k`` that are moments of a positive measure of
+    mass 1 on [0, 1], as both are, ``sum_{k<n} (-1)^k (d_n - d_k) a_k / d_n``
+    errs by at most ``3 / (3 + sqrt 8)^n`` (P. Borwein 2000, Alg. 2); n makes
+    that one unit.  The floored terms before the division by d_n, the dropped
+    tail of the alternating, decreasing sum and the last floor add under one each.
     """
+    n = int((bits + 2) / _LOG2_BORWEIN) + 2
+    d = _borwein_d(n)
+    d_n = d[n]
+    total = 0
+    for k in range(n):
+        term = ((d_n - d[k]) << bits) // (step * k + 1) ** s
+        if not term:
+            break
+        total += -term if k & 1 else term
+    return total // d_n, 3
+
+
+def _zeta_fixed(s: int, bits: int) -> tuple[int, int]:
+    """``zeta(s) * 2**bits`` within 7: eta(s) within 3, times ``2**(s-1) / (2**(s-1) - 1) <= 2``."""
     if s > bits + 1:
         # zeta(s) - 1 <= 3 * 2**-s < 2**-bits; 2**s is never built.
         return 1 << bits, 1
     key = (s, bits)
     hit = _ZETA_FIXED.get(key)
     if hit is None:
-        n = int((bits + 2) / _LOG2_BORWEIN) + 2
-        d = _borwein_d(n)
-        d_n = d[n]
-        total = 0
-        for k in range(n):
-            term = ((d_n - d[k]) << bits) // (k + 1) ** s
-            if not term:
-                break
-            total += -term if k & 1 else term
+        eta, _ = _alternating_fixed(s, bits, 1)
         half = 1 << (s - 1)
-        hit = (total // d_n * half // (half - 1), 7)
+        hit = (eta * half // (half - 1), 7)
         _ZETA_FIXED[key] = hit
     return hit
 
@@ -153,23 +164,8 @@ def zeta_even_exact(n: int) -> PiExpr:
 
 
 def catalan() -> NumericValue:
-    """Catalan's constant ``sum_k (-1)^k / (2k+1)^2`` by series acceleration.
-
-    Uses the Cohen-Villegas-Zagier transformation of the alternating series;
-    each extra term cuts the error by a factor ``3 + sqrt(8)``.
-    """
-    n = 40
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = 0.5 * (d + 1.0 / d)
-    b = -1.0
-    c = -d
-    s = 0.0
-    for k in range(n):
-        c = b - c
-        s += c / (2 * k + 1) ** 2
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    value = s / d
-    return NumericValue(value, 3.0 / (3.0 + math.sqrt(8.0)) ** n + 4e-16 * abs(value))
+    """Catalan's constant ``beta(2) = sum_k (-1)^k / (2k+1)^2``, correctly rounded."""
+    return _correctly_rounded(lambda bits: (*_alternating_fixed(2, bits, 2), 1 << bits), 64)
 
 
 # B_{2j} / (2j) for j = 1..7, the asymptotic-series coefficients.
@@ -191,69 +187,64 @@ def digamma(x: float) -> NumericValue:
 
     Upward recurrence ``psi(x+1) = psi(x) + 1/x`` to a large argument, then
     the Bernoulli asymptotic series.
+
+    The bound counts each rounding to first order in ``u = 2**-53`` (Higham,
+    ch. 4), for n steps, ``S = sum 1/x_k`` and the final ``X >= 18``.  ``x += 1``
+    rounds only across 1, 2, 4, 8 and 16, so the x_k are within 5u: 5u S in the
+    terms and under 5.2u (< 1.8u log X) in psi(X).  The terms round (u S), the
+    n - 1 subtractions add (n - 1) u S, ``log X`` 2u log X, the last three
+    additions 3u times the magnitudes, and the tail (< ``1/(12 X^2)``) 30u of
+    itself: under ``u ((n + 8) S + 7 log X + 6/X)``, with S read from the
+    rounded sum (one more n).  The series cut after B_14 errs by less than its
+    next term, ``|B_16| / (16 X^16) < 0.45 X^-16``.
     """
     x = float(x)
     if not x > 0 or math.isinf(x) or math.isnan(x):
         raise ValueError("digamma requires finite x > 0")
     acc = 0.0
+    steps = 0
     while x < _DIGAMMA_SWITCH:
         acc -= 1.0 / x
         x += 1.0
+        steps += 1
     inv = 1.0 / x
     inv2 = inv * inv
     tail = 0.0
     for c in reversed(_DIGAMMA_COEFFS):
         tail = (tail + c) * inv2
-    value = acc + math.log(x) - 0.5 * inv - tail
-    return NumericValue(value, 1e-15 * (1.0 + abs(value)))
+    log_x = math.log(x)
+    value = acc + log_x - 0.5 * inv - tail
+    err = 2.0**-53 * ((steps + 9) * -acc + 7.0 * log_x + 6.0 * inv) + 0.45 * inv**16
+    return NumericValue(value, err)
 
 
 def eval_pi_expr(p: PiExpr) -> NumericValue:
-    """Numeric value of a PiExpr, with linear error propagation."""
-    terms = [float(q) * math.pi**j for j, q in sorted(p.terms.items())]
-    if not terms:
+    """Numeric value of a PiExpr, correctly rounded: :func:`_interval_sum` of one row, factor 1."""
+    if not p:
         return NumericValue(0.0, 0.0)
-    value = math.fsum(terms)
-    return NumericValue(value, 4e-16 * math.fsum(abs(t) for t in terms))
+    return _interval_sum([(None, p.terms)])
 
 
 def eval_zeta_expr(e: ZetaExpr) -> NumericValue:
-    """Numeric value of a ZetaExpr.
-
-    Fast path: double-precision terms from :func:`zeta_int` summed exactly.
-    When cancellation between large terms would contaminate the double
-    result, the sum is redone in integer interval arithmetic and rounded once.
-    """
+    """Numeric value of a ZetaExpr, correctly rounded, by :func:`_eval_zeta_expr_guarded`."""
     if not e:
         return NumericValue(0.0, 0.0)
-    try:
-        terms = []
-        zeta_err = 0.0
-        for m in e.arguments():
-            z = zeta_int(m)
-            coeff = e.coefficient(m)
-            for j, q in sorted(coeff.terms.items()):
-                weight = float(q) * math.pi**j
-                terms.append(weight * z.value)
-                zeta_err += abs(weight) * z.err_bound
-        value = math.fsum(terms)
-        err = 4e-16 * math.fsum(abs(t) for t in terms) + zeta_err
-        if err <= 1e-13 * max(1.0, abs(value)):
-            return NumericValue(value, err)
-    except OverflowError:
-        pass
     return _eval_zeta_expr_guarded(e)
 
 
 def _eval_zeta_expr_guarded(e: ZetaExpr) -> NumericValue:
-    """The ZetaExpr summed in integer interval arithmetic and rounded once.
+    """:func:`_interval_sum` of a nonzero ZetaExpr, one row per zeta(m)."""
+    return _interval_sum([(m, e.coefficient(m).terms) for m in e.arguments()])
 
-    zeta(m) comes from :func:`_zeta_fixed` and pi from :func:`_pi_fixed`; the
-    rationals share one denominator, so the sum itself is exact.  The
-    precision is doubled until both ends of the interval round to the same
-    double.  The bound is ``4e-16 * |value|`` plus the interval's half-width.
+
+def _interval_sum(rows: list[tuple[int | None, dict[int, Fraction]]]) -> NumericValue:
+    """``sum_rows factor * sum_j q_j pi**j`` in integer intervals, correctly rounded.
+
+    A row ``(m, {j: q_j})`` has the factor zeta(m) from :func:`_zeta_fixed`, or
+    1 for m None; pi is :func:`_pi_fixed`.  The rationals share one
+    denominator, so only the zeta and pi intervals widen the sum.
     """
-    rows = [(m, sorted(e.coefficient(m).terms.items())) for m in e.arguments()]
+    rows = [(m, sorted(terms.items())) for m, terms in rows]
     den = math.lcm(*(q.denominator for _, row in rows for _, q in row))
     rows = [(m, [(j, q.numerator * (den // q.denominator)) for j, q in row]) for m, row in rows]
     exps = [j for _, row in rows for j, _ in row]
@@ -262,21 +253,19 @@ def _eval_zeta_expr_guarded(e: ZetaExpr) -> NumericValue:
     # gets no credit.
     magnitude = max(abs(c).bit_length() + math.ceil(max(j, 0) * _LOG2_PI) for _, row in rows
                     for j, c in row) - den.bit_length()
-    bits = 128 + -(-max(0, magnitude) // 64) * 64
-    while True:
+
+    def interval(bits: int) -> tuple[int, int, int]:
         powers = _pi_powers(bits, min(exps), max(exps))
         mid = rad = 0
         for m, row in rows:
             c = sum(n * powers[j][0] for j, n in row)
             c_rad = sum(abs(n) * powers[j][1] for j, n in row)
-            z, z_rad = _zeta_fixed(m, bits)
+            z, z_rad = (1 << bits, 0) if m is None else _zeta_fixed(m, bits)
             mid += c * z
             rad += abs(c) * z_rad + c_rad * (z + z_rad)
-        scale = den << (2 * bits)
-        value = _to_float(mid - rad, scale)
-        if value == _to_float(mid + rad, scale):
-            return NumericValue(value, 4e-16 * abs(value) + rad / scale)
-        bits *= 2
+        return mid, rad, den << (2 * bits)
+
+    return _correctly_rounded(interval, 128 + -(-max(0, magnitude) // 64) * 64)
 
 
 def _pi_powers(bits: int, low: int, high: int) -> dict[int, tuple[int, int]]:

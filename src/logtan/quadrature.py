@@ -268,7 +268,8 @@ def _tanh_sinh(g, a: float, b: float, tol: float, max_levels: int):
             raise QuadratureError(f"integrand sample not finite at x={x!r}")
         return v
 
-    parts = [HALF_PI * sample(mid, HALF_PI - mid)]
+    # The midpoint too rounds onto a when the interval is a few subnormals wide.
+    parts = [HALF_PI * sample(mid, HALF_PI - mid)] if a < mid < b else []
     for d, w in _level_nodes(0):
         delta = half * d
         if delta:  # 0.0 on an interval so short that the offset underflows

@@ -133,6 +133,13 @@ class TestQuadCommand:
         numeric = json.loads(out.stdout)["numeric"]
         assert math.isfinite(numeric["value"]) and math.isfinite(numeric["err_bound"])
 
+    @pytest.mark.parametrize("b", ["5e-324", "1e-323"])
+    def test_interval_too_short_for_its_midpoint(self, b):
+        out = run_cli("quad", "logtan", "--a", "0", "--b", b, "--format", "json")
+        assert out.returncode == 0, out.stderr
+        numeric = json.loads(out.stdout)["numeric"]
+        assert math.isfinite(numeric["value"]) and math.isfinite(numeric["err_bound"])
+
     def test_tol_floor(self):
         out = run_cli("quad", "x", "--tol", "1e-14")
         assert out.returncode == 2
@@ -182,7 +189,8 @@ class TestConstantsCommand:
         out = run_cli("constants", "zeta", str(10**400), "--format", "json")
         assert out.returncode == 0
         payload = json.loads(out.stdout)
-        assert payload["numeric"] == {"value": 1.0, "err_bound": 4e-16}
+        # Correctly rounded to 1.0, within half an ulp (2**-53, printed to 15 digits).
+        assert payload["numeric"] == {"value": 1.0, "err_bound": 1.11022302462516e-16}
 
     @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
     def test_bad_argument(self, value):
@@ -294,7 +302,8 @@ class TestEnvironment:
         # Every subcommand, run through cli.main with `import mpmath` made to
         # fail, prints what it prints with mpmath importable, and no request
         # imports mpmath.  The last stderr line is the exit status, the number
-        # of guarded zeta sums and whether mpmath was loaded.
+        # of integer interval sums of a ZetaExpr and whether mpmath was loaded;
+        # every nonzero ZetaExpr is summed that way.
         code = ("import sys\n"
                 "class Block:\n"
                 "    def find_spec(self, name, path=None, target=None):\n"
@@ -315,10 +324,10 @@ class TestEnvironment:
                 "    status = exc.code\n"
                 "print(status, len(calls), 'mpmath' in sys.modules, file=sys.stderr)\n")
         requests = [
-            (["exact", "0,1"], False),
+            (["exact", "0,1"], True),
             # E_6(x) = x^6 - 3x^5 + 5x^3 - 3x: its zeta terms cancel.
             (["exact", "0,-3,0,5,0,-3,1", "--format", "json"], True),
-            (["exact", "1,2", "--var", "scaled", "--format", "csv"], False),
+            (["exact", "1,2", "--var", "scaled", "--format", "csv"], True),
             (["project", "sqrt", "--terms", "5"], False),
             (["quad", "sqrt", "--format", "json"], False),
             (["constants", "zeta", "3"], False),

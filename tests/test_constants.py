@@ -19,12 +19,13 @@ from logtan.constants import (
     zeta_int,
 )
 from logtan.constants import (
+    _alternating_fixed,
     _borwein_d,
     _eval_zeta_expr_guarded,
     _pi_fixed,
     _zeta_fixed,
 )
-from logtan.core import PiExpr, ZetaExpr, euler_poly
+from logtan.core import PiExpr, ZetaExpr, euler_poly, euler_poly_scaled
 from logtan.quadrature import FunctionSpec, integrate_logtan
 
 ZETA3 = 1.2020569031595942854
@@ -73,14 +74,15 @@ class TestZetaInt:
             for s in range(2, 482):
                 nv = zeta_int(s)
                 assert nv.value == float(mpmath.zeta(s)), s
-                assert nv.err_bound == 4e-16 * nv.value, s
+                assert nv.err_bound == 0.5 * math.ulp(nv.value), s
 
     @pytest.mark.parametrize("s", [10**44, 2**1024 - 2**970, 10**400],
                              ids=["1e44", "2^1024-2^970", "1e400"])
     def test_argument_beyond_float_range(self, s):
         # 2**1024 - 2**970 is the first integer that does not convert to a float.
+        # zeta(s) rounds to 1.0; half an ulp of 1.0 is 2**-53.
         nv = zeta_int(s)
-        assert (nv.value, nv.err_bound) == (1.0, 4e-16)
+        assert (nv.value, nv.err_bound) == (1.0, 2.0**-53)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_even_values_match_bernoulli_form(self, n):
@@ -112,6 +114,14 @@ class TestCertifiedFixedPoint:
             for s in range(2, 201):
                 z, err = _zeta_fixed(s, bits)
                 self.assert_encloses(z, err, bits, mpmath.zeta(s))
+
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    def test_beta_within_its_stated_error(self, bits):
+        # Dirichlet's beta(s) = sum_k chi(k) / k^s with chi = 0, 1, 0, -1 mod 4.
+        with mpmath.workdps(max(100, int(bits * 0.302) + 20)):
+            for s in range(1, 41):
+                z, err = _alternating_fixed(s, bits, 2)
+                self.assert_encloses(z, err, bits, mpmath.dirichlet(s, [0, 1, 0, -1]))
 
     @pytest.mark.parametrize("s", [10**6, 10**400])
     def test_zeta_of_huge_argument(self, s):
@@ -169,6 +179,12 @@ class TestZetaEvenExact:
 
 
 class TestCatalan:
+    def test_correctly_rounded(self):
+        g = catalan()
+        with mpmath.workdps(50):
+            assert g.value == float(mpmath.catalan)
+        assert g.err_bound == 0.5 * math.ulp(g.value)
+
     def test_value(self):
         g = catalan()
         assert abs(g.value - CATALAN_REF) <= 1e-14
@@ -200,6 +216,24 @@ class TestDigamma:
         direct = digamma(50.0).value
         stepped = digamma(50.0 - 30.0).value + math.fsum(1.0 / (20.0 + k) for k in range(30))
         assert abs(direct - stepped) <= 1e-12
+
+    @pytest.mark.parametrize("grid", ["near the root", "wide", "log-spaced"])
+    def test_err_bound_honest(self, grid):
+        # The root of psi is at x = 1.4616..., where the error is all absolute.
+        rng = random.Random(1461)
+        points = {
+            "near the root": [rng.uniform(0.3, 3.0) for _ in range(40000)],
+            "wide": [rng.uniform(0.05, 30.0) for _ in range(5000)],
+            "log-spaced": [10.0 ** (-300 + 600 * k / 1999) for k in range(2000)],
+        }[grid]
+        with mpmath.workdps(30):
+            for x in points:
+                nv = digamma(x)
+                assert abs(mpmath.mpf(nv.value) - mpmath.digamma(x)) <= nv.err_bound, x
+
+    def test_below_the_reciprocal_range(self):
+        # 1/x overflows, and the bound says so.
+        assert tuple(digamma(1e-320)) == (-math.inf, math.inf)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -267,6 +301,76 @@ class TestEvalZetaExpr:
             fast = eval_zeta_expr(z).value
             guarded = _eval_zeta_expr_guarded(z).value
             assert abs(fast - guarded) <= 1e-13 * max(1.0, abs(guarded))
+
+
+class TestOneEvaluator:
+    """Every exact value is summed in integer intervals and correctly rounded."""
+
+    zeta_reference = staticmethod(TestCertifiedFixedPoint.reference)
+
+    @staticmethod
+    def pi_reference(p, dps=200):
+        with mpmath.workdps(dps):
+            return sum(mpmath.mpf(q.numerator) / q.denominator * mpmath.pi**j
+                       for j, q in p.terms.items())
+
+    @staticmethod
+    def random_pi_expr(rng):
+        return PiExpr({rng.randint(-60, 60): Fraction(
+            rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 30)),
+            rng.randint(1, 10**rng.randint(1, 12))) for _ in range(rng.randint(1, 4))})
+
+    @staticmethod
+    def assert_correctly_rounded(got, ref):
+        with mpmath.workdps(200):
+            assert got.value == float(ref)
+            assert abs(mpmath.mpf(got.value) - ref) <= got.err_bound
+        assert got.err_bound == 0.5 * math.ulp(got.value)
+
+    def test_random_zeta_exprs(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            e = ZetaExpr({m: self.random_pi_expr(rng)
+                          for m in rng.sample(range(3, 60, 2), rng.randint(1, 5))})
+            # Cancel up to 40 leading digits against a rational times zeta(3).
+            digits = rng.randint(0, 40)
+            if digits:
+                with mpmath.workdps(digits + 10):
+                    ratio = mpmath.nstr(self.zeta_reference(e, digits + 10) / mpmath.zeta(3),
+                                        digits)
+                e = e - ZetaExpr({3: Fraction(ratio)})
+            self.assert_correctly_rounded(eval_zeta_expr(e), self.zeta_reference(e, 200))
+
+    def test_random_pi_exprs(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            p = self.random_pi_expr(rng)
+            # Cancel up to 40 leading digits against a rational.
+            digits = rng.randint(0, 40)
+            if digits:
+                p = p - PiExpr({0: Fraction(mpmath.nstr(self.pi_reference(p, digits + 10),
+                                                        digits))})
+            if p:
+                self.assert_correctly_rounded(eval_pi_expr(p), self.pi_reference(p))
+
+    @pytest.mark.parametrize("n", range(19, 40, 2))
+    def test_scaled_odd_euler(self, n):
+        e = exact_L(euler_poly_scaled(n))
+        self.assert_correctly_rounded(eval_zeta_expr(e), self.zeta_reference(e, 200))
+
+    @pytest.mark.parametrize("j", [-650, -700])
+    def test_below_the_normal_range(self, j):
+        # pi**-650 is a few subnormal ulps and pi**-700 rounds to 0; half an
+        # ulp is not a double there, so the bound is the least double.
+        got = eval_pi_expr(PiExpr({j: 1}))
+        with mpmath.workdps(50):
+            assert got.value == float(mpmath.pi**j)
+            assert abs(mpmath.mpf(got.value) - mpmath.pi**j) <= got.err_bound == 5e-324
+
+    def test_even_zeta_from_its_bernoulli_form(self):
+        with mpmath.workdps(50):
+            for n in range(1, 40):
+                assert eval_pi_expr(zeta_even_exact(n)).value == float(mpmath.zeta(2 * n)), n
 
 
 class TestDigammaQuadratureTie:

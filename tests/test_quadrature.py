@@ -124,6 +124,20 @@ class TestIntegratePlain:
         assert res.converged
         assert abs(res.value - b * (math.log(b) - 1.0)) <= res.est_error
 
+    @pytest.mark.parametrize("b", [5e-324, 1e-323])
+    def test_interval_too_short_for_its_midpoint(self, b):
+        # 0.5 * (a + b) rounds to a = 0 at b = 5e-324; the midpoint sample is
+        # skipped as the node offsets are.  L = int_0^b log(x)^2 and the plain
+        # integral int_0^b log(x) up to O(b^3).
+        f = FunctionSpec.logtan_power(1)
+        log_b = math.log(b)
+        value = integrate_logtan(f, 0.0, b).value
+        assert math.isfinite(value)
+        assert abs(value - b * (log_b**2 - 2.0 * log_b + 2.0)) <= 1e-300
+        value = integrate_plain(f, 0.0, b).value
+        assert math.isfinite(value)
+        assert abs(value - b * (log_b - 1.0)) <= 1e-300
+
 
 class TestInnerProduct:
     def test_unit_norm(self):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from logtan.closed_forms import cos_lemma, exact_L
@@ -154,22 +155,29 @@ class TestSmoothSeries:
         assert got == eval_zeta_expr(exact_L(P)).value
 
     # smooth_L_series(shifted_legendre(21), K, z) for K below the 11 terms the
-    # degree needs, recorded before the polynomial path went through exact_L.
+    # degree needs: the kept zeta(m) terms of exact_L(P(zx)), m <= 2K+1, summed
+    # in 50-digit mpmath and rounded to a double (checked again below).
     # The K = 1 value at z = 1 is 2^-1 * 2 P'(0) * (7/8) zeta(3) with
     # P'(0) = P'(pi/2) = 924/pi, i.e. 808.5 zeta(3)/pi.
     TRUNCATED_LEGENDRE_21 = {
         (1, 1.0): 309.3536028912012,
-        (3, 1.0): 1049230064.9697531,
-        (7, 1.0): 7.976790410674906e17,
+        (3, 1.0): 1049230064.969753,
+        (7, 1.0): 7.976790410674902e17,
         (1, 0.9): 141.53918836592456,
-        (3, 0.9): 310477852.91037714,
-        (7, 0.9): 1.0984346545011253e17,
+        (3, 0.9): 310477852.910377,
+        (7, 0.9): 1.0984346545011248e17,
     }
 
     @pytest.mark.parametrize("K, z", sorted(TRUNCATED_LEGENDRE_21))
     def test_polynomial_truncated_below_half_the_degree(self, K, z):
-        got = smooth_L_series(FunctionSpec.polynomial(shifted_legendre(21)), K, z)
+        P = shifted_legendre(21)
+        got = smooth_L_series(FunctionSpec.polynomial(P), K, z)
         assert got == self.TRUNCATED_LEGENDRE_21[K, z]
+        closed = exact_L(P.compose_affine(Fraction(z), 0)).terms
+        with mpmath.workdps(50):
+            assert got == float(sum(mpmath.mpf(q.numerator) / q.denominator * mpmath.pi**j
+                                    * mpmath.zeta(m) for m, c in closed.items()
+                                    if m <= 2 * K + 1 for j, q in c.terms.items()))
         if (K, z) == (1, 1.0):
             assert math.isclose(got, 808.5 * ZETA3 / math.pi, rel_tol=1e-15)
 
